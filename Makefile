@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test race bench bench-smoke bench-json obs-smoke slo-smoke fleet-smoke fuzz-smoke verify
+.PHONY: build vet staticcheck test race bench bench-smoke bench-json obs-smoke slo-smoke fleet-smoke fuzz-smoke e2e-smoke verify
 
 build:
 	$(GO) build ./...
@@ -94,12 +94,21 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 5s ./internal/rsu/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/fleet/
 
+# e2e-smoke vets and tests the end-to-end benchmark module under
+# e2ebench/. It is a separate Go module, so the root build, vet and
+# test targets never compile it: without this target an API change
+# that breaks the benchmark would pass the gate.
+e2e-smoke:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test -count=1 ./...
+
 # verify is the extended gate: everything must compile, lint clean, and
 # pass the full suite under the race detector (the serving and RSU
 # planes are concurrent by design; -race covers the sharded telemetry
 # counters too), plus a single-iteration pass over the serving
 # benchmarks, the observability / SLO / fleet-failover smoke tests
 # (slo-smoke folds obs-smoke and fleet-smoke in, so listing it here
-# covers all three without re-running any of them), and a short burst
-# of every fuzz target.
-verify: build vet staticcheck race bench-smoke slo-smoke fuzz-smoke
+# covers all three without re-running any of them), a short burst of
+# every fuzz target, and the end-to-end benchmark module's own vet and
+# tests.
+verify: build vet staticcheck race bench-smoke slo-smoke fuzz-smoke e2e-smoke

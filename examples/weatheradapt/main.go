@@ -85,7 +85,7 @@ func run() error {
 	}
 
 	evalOn := func(m video.Classifier) (float64, error) {
-		cm, err := video.Evaluate(m, snowTest)
+		cm, err := video.Evaluate(m, snowTest, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -50,7 +50,7 @@ func AblateSlowFastLateral(cfg Config) ([]LateralAblationRow, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("experiments: lateral ablation: %w", err)
 		}
-		cm, err := video.Evaluate(m, day.Test)
+		cm, err := video.Evaluate(m, day.Test, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: lateral ablation: %w", err)
 		}
@@ -232,7 +232,7 @@ func AblateMAMLInnerSteps(cfg Config, stepCounts []int) ([]InnerStepsRow, error)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: inner-steps ablation k=%d: %w", k, err)
 		}
-		cm, err := video.Evaluate(adapted, scenes[sim.Snow].Test)
+		cm, err := video.Evaluate(adapted, scenes[sim.Snow].Test, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: inner-steps ablation k=%d: %w", k, err)
 		}

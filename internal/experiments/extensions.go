@@ -59,7 +59,7 @@ func AdaptToScene(cfg Config, scene sim.Weather, supportClips int) (*SceneAdapta
 		return nil, err
 	}
 
-	cmBefore, err := video.Evaluate(day, test)
+	cmBefore, err := video.Evaluate(day, test, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func AdaptToScene(cfg Config, scene sim.Weather, supportClips int) (*SceneAdapta
 	if err != nil {
 		return nil, err
 	}
-	cmAfter, err := video.Evaluate(adapted, test)
+	cmAfter, err := video.Evaluate(adapted, test, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -125,11 +125,11 @@ func MirrorDeployment(cfg Config) (*MirrorResult, error) {
 	}); err != nil {
 		return nil, err
 	}
-	cmMirror, err := video.Evaluate(m, testM)
+	cmMirror, err := video.Evaluate(m, testM, nil)
 	if err != nil {
 		return nil, err
 	}
-	cmCross, err := video.Evaluate(m, day.Test)
+	cmCross, err := video.Evaluate(m, day.Test, nil)
 	if err != nil {
 		return nil, err
 	}

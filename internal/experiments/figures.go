@@ -4,17 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"safecross/internal/dataset"
 	"safecross/internal/detect"
 	"safecross/internal/sim"
-	"safecross/internal/video"
 	"safecross/internal/vision"
 )
-
-// predict wraps video.Predict for clip inputs.
-func predict(m video.Classifier, clip *dataset.Clip) (int, error) {
-	return video.Predict(m, clip.Input)
-}
 
 // Fig3 renders the VP pipeline stages of Fig. 3 as ASCII art: the
 // raw frame, the background-subtracted mask after opening, and the

@@ -137,7 +137,7 @@ func TrainSceneModels(cfg Config) (*TrainedModels, error) {
 func TableIII(tm *TrainedModels) ([]AccuracyRow, error) {
 	rows := make([]AccuracyRow, 0, 3)
 	for _, w := range sim.AllWeathers() {
-		cm, err := video.Evaluate(tm.Models[w], tm.Scenes[w].Test)
+		cm, err := video.Evaluate(tm.Models[w], tm.Scenes[w].Test, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table III %v: %w", w, err)
 		}
@@ -177,7 +177,7 @@ func TableIV(cfg Config) ([]AccuracyRow, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("experiments: table IV %s: %w", m.Name(), err)
 		}
-		cm, err := video.Evaluate(m, day.Test)
+		cm, err := video.Evaluate(m, day.Test, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table IV %s: %w", m.Name(), err)
 		}
@@ -199,7 +199,7 @@ func TableV(tm *TrainedModels) ([]AccuracyRow, error) {
 		scene := tm.Scenes[w]
 
 		// With few-shot learning: the already-adapted model.
-		cmWith, err := video.Evaluate(tm.Models[w], scene.Test)
+		cmWith, err := video.Evaluate(tm.Models[w], scene.Test, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table V %v: %w", w, err)
 		}
@@ -220,7 +220,7 @@ func TableV(tm *TrainedModels) ([]AccuracyRow, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("experiments: table V scratch %v: %w", w, err)
 		}
-		cmWithout, err := video.Evaluate(scratch, scene.Test)
+		cmWithout, err := video.Evaluate(scratch, scene.Test, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table V %v: %w", w, err)
 		}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"safecross/internal/dataset"
+	"safecross/internal/nn"
 	"safecross/internal/safecross"
 	"safecross/internal/sim"
+	"safecross/internal/video"
 )
 
 // ThroughputReport combines the paper's Sec. V-D statistic with the
@@ -41,36 +43,26 @@ func Throughput(tm *TrainedModels) (*ThroughputReport, error) {
 	}
 	// The paper classifies the mixed-weather blind-zone set with
 	// SafeCross; we use the matching per-scene models.
-	res := &safecross.ThroughputResult{Total: len(clips)}
-	correct := 0
-	for i, clip := range clips {
-		model, ok := tm.Models[clip.Weather]
-		if !ok {
-			return nil, fmt.Errorf("experiments: no model for %v", clip.Weather)
-		}
-		pred, err := predict(model, clip)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: throughput clip %d: %w", i, err)
-		}
-		switch clip.Label {
-		case dataset.ClassDanger:
-			res.DangerClips++
-			if pred == dataset.ClassDanger {
-				res.CorrectDanger++
-				correct++
-			} else {
-				res.UnsafeReleases++
-			}
-		case dataset.ClassSafe:
-			res.SafeClips++
-			if pred == dataset.ClassSafe {
-				res.CorrectSafe++
-				correct++
-			}
-		}
+	byScene := make(map[sim.Weather][]*dataset.Clip)
+	for _, clip := range clips {
+		byScene[clip.Weather] = append(byScene[clip.Weather], clip)
 	}
-	res.Accuracy = float64(correct) / float64(res.Total)
-	res.ThroughputGain = float64(res.CorrectSafe) / float64(res.Total)
+	var cms []*nn.ConfusionMatrix
+	for _, w := range sim.AllWeathers() {
+		if len(byScene[w]) == 0 {
+			continue
+		}
+		model, ok := tm.Models[w]
+		if !ok {
+			return nil, fmt.Errorf("experiments: no model for %v", w)
+		}
+		cm, err := video.Evaluate(model, byScene[w], nil)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: throughput %v clips: %w", w, err)
+		}
+		cms = append(cms, cm)
+	}
+	res := safecross.ThroughputFromConfusion(cms...)
 
 	loop := make(map[sim.Weather]*safecross.SimThroughputResult, 3)
 	for _, w := range sim.AllWeathers() {

@@ -39,8 +39,7 @@ func TestAdaptedForwardBatchBitIdentical(t *testing.T) {
 		refs[i] = ref
 	}
 
-	engine := video.Engine(adapted)
-	got, err := engine.ForwardBatch(xs, nn.NewWorkspace())
+	got, err := adapted.ForwardBatch(xs, nn.NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestEvalTaskMatchesAdaptThenEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := video.Evaluate(ref, task.Query)
+	want, err := video.Evaluate(ref, task.Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

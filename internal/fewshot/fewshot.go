@@ -279,7 +279,7 @@ func (m *MAML) Adapt(support []*dataset.Clip, steps int, lr float64) (video.Clas
 // parameters on the support set (Eq. 1, train-mode forwards,
 // untouched by the engine), then score the adapted model on the query
 // set through the unified batch engine — the eval forwards ride
-// infer workspaces via video.EvaluateWS, so a caller evaluating many
+// infer workspaces via video.Evaluate, so a caller evaluating many
 // episodes with one workspace pays no per-episode eval allocation.
 // It returns the adapted classifier and its query confusion matrix. A
 // nil ws is replaced by a throwaway workspace.
@@ -288,7 +288,7 @@ func (m *MAML) EvalTask(task Task, steps int, lr float64, ws *nn.Workspace) (vid
 	if err != nil {
 		return nil, nil, err
 	}
-	cm, err := video.EvaluateWS(adapted, task.Query, ws)
+	cm, err := video.Evaluate(adapted, task.Query, ws)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fewshot: query eval: %w", err)
 	}

@@ -207,7 +207,7 @@ func TestMetaTrainImprovesAdaptation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmMeta, err := video.Evaluate(adapted, snowTest)
+	cmMeta, err := video.Evaluate(adapted, snowTest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestMetaTrainImprovesAdaptation(t *testing.T) {
 	if err := innerAdapt(scratch, snowSupport, 6, 0.05); err != nil {
 		t.Fatal(err)
 	}
-	cmScratch, err := video.Evaluate(scratch, snowTest)
+	cmScratch, err := video.Evaluate(scratch, snowTest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,18 +14,11 @@ import (
 	"safecross/internal/telemetry"
 )
 
-// AgentConfig wires one node agent. Construction normally goes
-// through NewAgent with options; the struct remains for the
-// deprecated NewAgentFromConfig path.
+// AgentConfig wires one node agent. NewAgent's options fill it.
 type AgentConfig struct {
 	// ID is the node's stable fleet identity (must be non-empty and
 	// unique across the fleet — it is the rendezvous hashing input).
 	ID string
-	// Coordinator is a single control-plane address to register with.
-	//
-	// Deprecated: use Coordinators (the agent treats this field as a
-	// one-element seed list).
-	Coordinator string
 	// Coordinators is the coordinator seed list. The agent sweeps it
 	// until a primary accepts the registration, and follows promote
 	// redirects to whichever seed currently leads.
@@ -101,26 +94,8 @@ func NewAgent(id string, srv *rsu.Server, opts ...AgentOption) (*Agent, error) {
 	for _, o := range opts {
 		o.applyAgent(&cfg)
 	}
-	return newAgent(cfg, srv)
-}
-
-// NewAgentFromConfig is the Config-struct construction path.
-//
-// Deprecated: use NewAgent with options (WithCoordinators,
-// WithRunner, WithMetrics, WithHeartbeat, …).
-func NewAgentFromConfig(cfg AgentConfig, srv *rsu.Server, runner Runner) (*Agent, error) {
-	if runner != nil {
-		cfg.Runner = runner
-	}
-	return newAgent(cfg, srv)
-}
-
-func newAgent(cfg AgentConfig, srv *rsu.Server) (*Agent, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("fleet: agent needs an ID")
-	}
-	if len(cfg.Coordinators) == 0 && cfg.Coordinator != "" {
-		cfg.Coordinators = []string{cfg.Coordinator}
 	}
 	if len(cfg.Coordinators) == 0 {
 		return nil, fmt.Errorf("fleet: agent needs at least one coordinator address")

@@ -16,9 +16,7 @@ import (
 	"safecross/internal/telemetry"
 )
 
-// Config sizes a Coordinator. Construction normally goes through
-// NewCoordinator with options; the struct remains for the deprecated
-// NewCoordinatorFromConfig path.
+// Config sizes a Coordinator. NewCoordinator's options fill it.
 type Config struct {
 	// Intersections are the shard keys the fleet must keep served.
 	// Required for a primary; a standby learns the key set from the
@@ -137,18 +135,6 @@ func NewCoordinator(addr string, opts ...CoordinatorOption) (*Coordinator, error
 	for _, o := range opts {
 		o.applyCoordinator(&cfg)
 	}
-	return newCoordinator(addr, cfg)
-}
-
-// NewCoordinatorFromConfig is the Config-struct construction path.
-//
-// Deprecated: use NewCoordinator with options (WithIntersections,
-// WithMetrics, WithHeartbeat, WithStandbys, AsStandby, …).
-func NewCoordinatorFromConfig(addr string, cfg Config) (*Coordinator, error) {
-	return newCoordinator(addr, cfg)
-}
-
-func newCoordinator(addr string, cfg Config) (*Coordinator, error) {
 	if cfg.Standby && len(cfg.Standbys) > 0 {
 		return nil, fmt.Errorf("fleet: a standby coordinator cannot own standbys")
 	}

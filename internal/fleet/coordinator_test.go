@@ -225,17 +225,18 @@ func TestCoordinatorPartition(t *testing.T) {
 func TestCoordinatorSuspectRecovery(t *testing.T) {
 	keys := []int{1, 2, 3, 4}
 	reg := telemetry.NewRegistry()
-	// Deliberately on the deprecated Config path: the shim must keep
-	// building coordinators identical to the options path.
-	coord, err := NewCoordinatorFromConfig("127.0.0.1:0", Config{
-		Intersections: keys,
-		Timings:       testTimings(),
-		Metrics:       reg,
-	})
+	tt := testTimings()
+	coord, err := NewCoordinator("127.0.0.1:0",
+		WithIntersections(keys...),
+		WithHeartbeat(tt.HeartbeatEvery, tt.SuspectAfter, tt.DeadAfter),
+		WithMetrics(reg))
 	if err != nil {
-		t.Fatalf("NewCoordinatorFromConfig: %v", err)
+		t.Fatalf("NewCoordinator: %v", err)
 	}
 	defer coord.Close()
+	if coord.Role() != RolePrimary || coord.Term() != 1 {
+		t.Fatalf("born as %v at term %d; want primary at term 1", coord.Role(), coord.Term())
+	}
 
 	n1 := dialFake(t, coord.Addr(), "n1")
 	if err := n1.heartbeat(); err != nil {

@@ -6,8 +6,7 @@
 //
 // The engine owns the pieces that used to be duplicated per stack:
 // uniform batch validation, eval-mode switching, batched forward
-// dispatch, and argmax decoding. A stack only provides ForwardBatch;
-// stacks that cannot batch natively are adapted with Sequentialize.
+// dispatch, and argmax decoding. A stack only provides ForwardBatch.
 package infer
 
 import (
@@ -34,44 +33,6 @@ type Model interface {
 	SetTrain(train bool)
 }
 
-// Forwarder is the minimal single-input eval surface: what a model
-// must offer to be served at all. Models that cannot run a native
-// batched pass are lifted to the engine contract with Sequentialize.
-type Forwarder interface {
-	Name() string
-	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
-	SetTrain(train bool)
-}
-
-// Sequentialize adapts a Forwarder to the engine contract by driving
-// its Forward input by input. The workspace is unused — a sequential
-// model allocates as its Forward does — but the validation, eval-mode
-// discipline, and decoding above it are identical to the native path.
-// A Forwarder that already implements Model passes through unchanged.
-func Sequentialize(f Forwarder) Model {
-	if m, ok := f.(Model); ok {
-		return m
-	}
-	return &sequentialized{f: f}
-}
-
-type sequentialized struct{ f Forwarder }
-
-func (s *sequentialized) Name() string        { return s.f.Name() }
-func (s *sequentialized) SetTrain(train bool) { s.f.SetTrain(train) }
-
-func (s *sequentialized) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
-	out := make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		logits, err := s.f.Forward(x)
-		if err != nil {
-			return nil, fmt.Errorf("input %d: %w", i, err)
-		}
-		out[i] = logits
-	}
-	return out, nil
-}
-
 // ValidateBatch checks a batch up front: non-empty, no nil inputs, and
 // one shape across the batch, so a malformed input is reported by
 // index instead of surfacing mid-batch as a bare layer error. Shape
@@ -85,10 +46,8 @@ func ValidateBatch(xs []*tensor.Tensor) error {
 		if x == nil {
 			return fmt.Errorf("infer: input %d is nil", i)
 		}
-		for ax := range x.Shape {
-			if len(x.Shape) != len(xs[0].Shape) || x.Shape[ax] != xs[0].Shape[ax] {
-				return fmt.Errorf("infer: input %d has shape %v, want %v like input 0", i, x.Shape, xs[0].Shape)
-			}
+		if !x.SameShape(xs[0]) {
+			return fmt.Errorf("infer: input %d has shape %v, want %v like input 0", i, x.Shape, xs[0].Shape)
 		}
 	}
 	return nil
@@ -119,13 +78,4 @@ func PredictBatch(m Model, xs []*tensor.Tensor, ws *nn.Workspace) ([]int, error)
 		labels[i] = nn.Predict(l)
 	}
 	return labels, nil
-}
-
-// Predict is the single-input case of PredictBatch.
-func Predict(m Model, x *tensor.Tensor, ws *nn.Workspace) (int, error) {
-	labels, err := PredictBatch(m, []*tensor.Tensor{x}, ws)
-	if err != nil {
-		return 0, err
-	}
-	return labels[0], nil
 }

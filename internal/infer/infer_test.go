@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,22 +44,6 @@ func (m *argmaxModel) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*te
 	return out, nil
 }
 
-// fwdOnly implements just Forwarder.
-type fwdOnly struct {
-	train    bool
-	forwards int
-}
-
-func (f *fwdOnly) Name() string        { return "fwd-only" }
-func (f *fwdOnly) SetTrain(train bool) { f.train = train }
-
-func (f *fwdOnly) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	f.forwards++
-	out := tensor.New(2)
-	copy(out.Data, x.Data[:2])
-	return out, nil
-}
-
 func input(a, b float64) *tensor.Tensor {
 	t := tensor.New(2, 2)
 	t.Data[0], t.Data[1] = a, b
@@ -94,9 +79,15 @@ func TestPredictBatchValidation(t *testing.T) {
 	if _, err := PredictBatch(m, []*tensor.Tensor{input(1, 0), nil}, nil); err == nil {
 		t.Fatal("expected nil-input error")
 	}
-	mixed := []*tensor.Tensor{input(1, 0), tensor.New(3)}
-	if _, err := PredictBatch(m, mixed, nil); err == nil {
-		t.Fatal("expected shape-mismatch error")
+	scalar := tensor.New()
+	for name, xs := range map[string][]*tensor.Tensor{
+		"extent":         {input(1, 0), tensor.New(3)},
+		"rank-0 after 0": {input(1, 0), scalar},
+		"rank-0 first":   {scalar, input(1, 0)},
+	} {
+		if _, err := PredictBatch(m, xs, nil); err == nil || !strings.Contains(err.Error(), "input 1") {
+			t.Fatalf("%s: err = %v, want a shape mismatch naming input 1", name, err)
+		}
 	}
 	m.outCount = 5
 	if _, err := PredictBatch(m, []*tensor.Tensor{input(1, 0)}, nil); err == nil {
@@ -106,54 +97,6 @@ func TestPredictBatchValidation(t *testing.T) {
 	m.fail = true
 	if _, err := PredictBatch(m, []*tensor.Tensor{input(1, 0)}, nil); err == nil {
 		t.Fatal("expected forward error")
-	}
-}
-
-func TestSequentializeMatchesNativeAndPassesThrough(t *testing.T) {
-	f := &fwdOnly{train: true}
-	m := Sequentialize(f)
-	xs := []*tensor.Tensor{input(1, 0), input(0, 2), input(5, 4)}
-	labels, err := PredictBatch(m, xs, nn.NewWorkspace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	native, err := PredictBatch(&argmaxModel{}, xs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range labels {
-		if labels[i] != native[i] {
-			t.Fatalf("input %d: sequentialized label %d != native %d", i, labels[i], native[i])
-		}
-	}
-	if f.forwards != len(xs) {
-		t.Fatalf("forwards = %d, want %d", f.forwards, len(xs))
-	}
-	if f.train {
-		t.Fatal("SetTrain(false) must reach the wrapped Forwarder")
-	}
-
-	dual := &dualModel{}
-	if Sequentialize(dual) != Model(dual) {
-		t.Fatal("a Forwarder that already implements Model must pass through")
-	}
-}
-
-// dualModel implements both Forwarder and Model, like the batch-native
-// video classifiers: Sequentialize must hand it back untouched.
-type dualModel struct{ fwdOnly }
-
-func (d *dualModel) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
-	return statelessModel{}.ForwardBatch(xs, ws)
-}
-
-func TestPredictSingle(t *testing.T) {
-	label, err := Predict(&argmaxModel{}, input(0, 7), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if label != 1 {
-		t.Fatalf("label = %d, want 1", label)
 	}
 }
 

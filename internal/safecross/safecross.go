@@ -338,9 +338,11 @@ func (f *Framework) ProcessFrameContext(ctx context.Context, frame *vision.Image
 		if f.ws == nil {
 			f.ws = nn.NewWorkspace()
 		}
-		if label, err = video.PredictWS(f.models[scene], clip, f.ws); err != nil {
+		labels, err := video.PredictBatch(f.models[scene], []*tensor.Tensor{clip}, f.ws)
+		if err != nil {
 			return nil, fmt.Errorf("safecross: classify: %w", err)
 		}
+		label = labels[0]
 	}
 	f.metrics.classify.ObserveDuration(time.Since(classifyStart))
 	// The verdict histogram only counts frames that produced one: the

@@ -35,40 +35,37 @@ type ThroughputResult struct {
 // occluded driver waits in every one of these scenes; with it, every
 // correctly judged safe scene becomes an immediate turn.
 func EvaluateThroughput(m video.Classifier, clips []*dataset.Clip) (*ThroughputResult, error) {
-	if len(clips) == 0 {
-		return nil, fmt.Errorf("safecross: no clips to evaluate")
-	}
-	res := &ThroughputResult{Total: len(clips)}
-	correct := 0
-	ws := nn.NewWorkspace() // one scratch arena across the whole set
 	for i, clip := range clips {
 		if !clip.Blind {
 			return nil, fmt.Errorf("safecross: clip %d is not a blind-zone clip", i)
 		}
-		pred, err := video.PredictWS(m, clip.Input, ws)
-		if err != nil {
-			return nil, fmt.Errorf("safecross: clip %d: %w", i, err)
-		}
-		switch clip.Label {
-		case dataset.ClassDanger:
-			res.DangerClips++
-			if pred == dataset.ClassDanger {
-				res.CorrectDanger++
-				correct++
-			} else {
-				res.UnsafeReleases++
-			}
-		case dataset.ClassSafe:
-			res.SafeClips++
-			if pred == dataset.ClassSafe {
-				res.CorrectSafe++
-				correct++
-			}
-		}
 	}
-	res.Accuracy = float64(correct) / float64(res.Total)
-	res.ThroughputGain = float64(res.CorrectSafe) / float64(res.Total)
-	return res, nil
+	cm, err := video.Evaluate(m, clips, nil)
+	if err != nil {
+		return nil, fmt.Errorf("safecross: %w", err)
+	}
+	return ThroughputFromConfusion(cm), nil
+}
+
+// ThroughputFromConfusion reads the throughput statistics off danger/
+// safe confusion matrices, summing them when a set was judged by
+// several models (one per weather scene).
+func ThroughputFromConfusion(cms ...*nn.ConfusionMatrix) *ThroughputResult {
+	const danger, safe = dataset.ClassDanger, dataset.ClassSafe
+	res := &ThroughputResult{}
+	for _, cm := range cms {
+		res.CorrectDanger += cm.Count(danger, danger)
+		res.UnsafeReleases += cm.Count(danger, safe)
+		res.CorrectSafe += cm.Count(safe, safe)
+		res.SafeClips += cm.Count(safe, danger) + cm.Count(safe, safe)
+	}
+	res.DangerClips = res.CorrectDanger + res.UnsafeReleases
+	res.Total = res.DangerClips + res.SafeClips
+	if res.Total > 0 {
+		res.Accuracy = float64(res.CorrectDanger+res.CorrectSafe) / float64(res.Total)
+		res.ThroughputGain = float64(res.CorrectSafe) / float64(res.Total)
+	}
+	return res
 }
 
 // SimThroughputResult reports a closed-loop simulation comparison.

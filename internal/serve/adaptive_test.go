@@ -63,8 +63,9 @@ func TestAdaptTarget(t *testing.T) {
 }
 
 // batchStub is a batch-native engine model whose forward rides the
-// shared workspace — unlike the Forward-only stubClassifier, it moves
-// the pool's hit/miss counters the way the real classifiers do.
+// shared workspace — unlike stubClassifier, which ignores its
+// workspace, it moves the pool's hit/miss counters the way the real
+// classifiers do.
 type batchStub struct {
 	label int
 	delay time.Duration

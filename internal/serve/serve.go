@@ -245,15 +245,14 @@ type Verdict struct {
 // ModelFactory builds one private replica of the per-scene engine
 // models for a worker. It is called once per worker at server
 // construction; replicas must not share mutable state. The serving
-// plane is engine-keyed: any infer.Model — a video classifier behind
-// video.Engine, a detector behind detect.NewPresence — serves from
-// the same worker pool.
+// plane is engine-keyed: any infer.Model — a video classifier, a
+// detector behind detect.NewPresence — serves from the same worker
+// pool.
 type ModelFactory func() (map[sim.Weather]infer.Model, error)
 
 // Replicas returns a ModelFactory that clones trained per-scene video
 // classifiers weight-for-weight through the builder that produced
-// them (experiments.TrainedModels carries it) and lifts each clone to
-// the engine contract.
+// them (experiments.TrainedModels carries it).
 func Replicas(builder video.Builder, trained map[sim.Weather]video.Classifier) ModelFactory {
 	return func() (map[sim.Weather]infer.Model, error) {
 		out := make(map[sim.Weather]infer.Model, len(trained))
@@ -262,7 +261,7 @@ func Replicas(builder video.Builder, trained map[sim.Weather]video.Classifier) M
 			if err != nil {
 				return nil, fmt.Errorf("serve: replicate %v model: %w", scene, err)
 			}
-			out[scene] = video.Engine(clone)
+			out[scene] = clone
 		}
 		return out, nil
 	}

@@ -12,46 +12,43 @@ import (
 	"safecross/internal/nn"
 	"safecross/internal/sim"
 	"safecross/internal/tensor"
-	"safecross/internal/video"
 )
 
 // stubClassifier is a controllable classifier for serving tests: it
-// always predicts label, optionally sleeping to simulate compute. The
-// unsynchronised forwards counter is deliberate — if the server ever
-// shared one replica across workers, `go test -race` would flag it.
+// always predicts label, sleeping delay per clip to simulate compute,
+// and never touches its workspace. The unsynchronised forwards counter
+// is deliberate — if the server ever shared one replica across workers,
+// `go test -race` would flag it.
 type stubClassifier struct {
 	label    int
 	delay    time.Duration
 	forwards int
 }
 
-func (c *stubClassifier) Name() string { return "stub" }
+func (c *stubClassifier) Name() string        { return "stub" }
+func (c *stubClassifier) SetTrain(train bool) {}
 
-func (c *stubClassifier) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	c.forwards++
-	if c.delay > 0 {
-		time.Sleep(c.delay)
+func (c *stubClassifier) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
+	out := make([]*tensor.Tensor, len(xs))
+	for i := range xs {
+		c.forwards++
+		if c.delay > 0 {
+			time.Sleep(c.delay)
+		}
+		out[i] = tensor.New(2)
+		out[i].Data[c.label] = 1
 	}
-	out := tensor.New(2)
-	out.Data[c.label] = 1
 	return out, nil
 }
 
-func (c *stubClassifier) Backward(d *tensor.Tensor) error { return nil }
-func (c *stubClassifier) Params() []*nn.Param             { return nil }
-func (c *stubClassifier) SetTrain(train bool)             {}
-
 // stubFactory returns fresh per-worker replicas predicting safe for
-// day and danger for rain/snow, with the given per-clip delay. The
-// stub is Forward-only, so it exercises the engine's Sequentialize
-// adapter — the serving plane must keep working for models without a
-// native batched pass.
+// day and danger for rain/snow, with the given per-clip delay.
 func stubFactory(delay time.Duration) ModelFactory {
 	return func() (map[sim.Weather]infer.Model, error) {
 		return map[sim.Weather]infer.Model{
-			sim.Day:  video.Engine(&stubClassifier{label: dataset.ClassSafe, delay: delay}),
-			sim.Rain: video.Engine(&stubClassifier{label: dataset.ClassDanger, delay: delay}),
-			sim.Snow: video.Engine(&stubClassifier{label: dataset.ClassDanger, delay: delay}),
+			sim.Day:  &stubClassifier{label: dataset.ClassSafe, delay: delay},
+			sim.Rain: &stubClassifier{label: dataset.ClassDanger, delay: delay},
+			sim.Snow: &stubClassifier{label: dataset.ClassDanger, delay: delay},
 		}, nil
 	}
 }

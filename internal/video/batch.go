@@ -9,52 +9,16 @@ import (
 	"safecross/internal/tensor"
 )
 
-// BatchForwarder is the classifier half of the engine contract: a
-// native batched forward pass. SlowFast, C3D, and TSN implement it
-// (one im2col + one matmul per conv layer for N clips); together with
-// Name and SetTrain from Classifier it makes them infer.Model
-// implementations, so Engine passes them straight to the unified
-// inference engine.
-type BatchForwarder interface {
-	// ForwardBatch maps n [1,T,H,W] clips to n rank-1 logit tensors,
-	// bit-identical to calling the eval-mode Forward per clip. Scratch
-	// buffers come from ws, which must be owned by the calling
-	// goroutine; the returned logits are fresh tensors that stay valid
-	// after the workspace is reset or reused.
-	ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error)
-}
-
-// Engine lifts a Classifier to the unified engine contract
-// (infer.Model). Batch-native classifiers pass through unchanged;
-// Forward-only classifiers are driven clip by clip behind the same
-// contract, which still amortises the per-batch costs above the model
-// (model switching, simulated kernel launches, dispatch).
-func Engine(c Classifier) infer.Model {
-	if m, ok := c.(infer.Model); ok {
-		return m
+// checkClips is every stack's batched-forward input check: a
+// non-empty batch of [1,T,H,W] clips at the model's clip length t.
+// Uniformity across the batch is the engine's job (infer.ValidateBatch).
+func checkClips(model string, xs []*tensor.Tensor, t int) error {
+	if len(xs) == 0 {
+		return fmt.Errorf("%s: empty batch", model)
 	}
-	return infer.Sequentialize(c)
-}
-
-// validateClips checks the whole batch up front: every clip must be a
-// rank-4 [1,T,H,W] tensor and all clips must share one shape, so a
-// malformed clip is reported by index instead of surfacing mid-batch
-// as a bare layer error.
-func validateClips(clips []*tensor.Tensor) error {
-	if len(clips) == 0 {
-		return fmt.Errorf("video: empty batch")
-	}
-	for i, c := range clips {
-		if c == nil {
-			return fmt.Errorf("video: clip %d is nil", i)
-		}
-		if c.Rank() != 4 || c.Shape[0] != 1 {
-			return fmt.Errorf("video: clip %d has shape %v, want [1,T,H,W]", i, c.Shape)
-		}
-		for ax := range c.Shape {
-			if c.Shape[ax] != clips[0].Shape[ax] {
-				return fmt.Errorf("video: clip %d has shape %v, want %v like clip 0", i, c.Shape, clips[0].Shape)
-			}
+	for i, x := range xs {
+		if x.Rank() != 4 || x.Shape[0] != 1 || x.Shape[1] != t {
+			return fmt.Errorf("%s: clip %d shape %v, want [1,%d,H,W]", model, i, x.Shape, t)
 		}
 	}
 	return nil
@@ -75,17 +39,13 @@ func stackClips(ws *nn.Workspace, clips []*tensor.Tensor) *tensor.Tensor {
 }
 
 // PredictBatch classifies a batch of clips with one eval-mode model,
-// returning the predicted label per clip in input order. Clip shapes
-// are validated up front (errors name the offending clip index); the
-// forward itself runs through the unified engine (infer.PredictBatch),
-// so scratch memory comes from ws and a long-lived caller passing the
-// same workspace reaches steady-state zero allocation inside the
-// model. A nil ws is replaced by a throwaway workspace.
+// returning the predicted label per clip in input order. It is
+// infer.PredictBatch: malformed clips are rejected by index before any
+// layer runs, scratch memory comes from ws, and a long-lived caller
+// passing the same workspace reaches steady-state zero allocation
+// inside the model. A nil ws is replaced by a throwaway workspace.
 func PredictBatch(m Classifier, clips []*tensor.Tensor, ws *nn.Workspace) ([]int, error) {
-	if err := validateClips(clips); err != nil {
-		return nil, err
-	}
-	return infer.PredictBatch(Engine(m), clips, ws)
+	return infer.PredictBatch(m, clips, ws)
 }
 
 // splitLogits copies an [N,Classes] batched logit matrix into n fresh

@@ -66,14 +66,10 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bf, ok := m.(BatchForwarder)
-			if !ok {
-				t.Fatalf("%s does not implement BatchForwarder", name)
-			}
 			m.SetTrain(false)
 			clips := batchClips(5)
 			ws := nn.NewWorkspace()
-			batched, err := bf.ForwardBatch(clips, ws)
+			batched, err := m.ForwardBatch(clips, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,16 +105,15 @@ func TestForwardBatchReusesWorkspace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bf := m.(BatchForwarder)
 			m.SetTrain(false)
 			clips := batchClips(3)
 			ws := nn.NewWorkspace()
-			if _, err := bf.ForwardBatch(clips, ws); err != nil {
+			if _, err := m.ForwardBatch(clips, ws); err != nil {
 				t.Fatal(err)
 			}
 			warm := ws.Misses
 			for i := 0; i < 3; i++ {
-				if _, err := bf.ForwardBatch(clips, ws); err != nil {
+				if _, err := m.ForwardBatch(clips, ws); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -131,7 +126,8 @@ func TestForwardBatchReusesWorkspace(t *testing.T) {
 
 // TestPredictBatchValidatesClipIndex checks the up-front batch
 // validation: a malformed clip is reported by its index before any
-// layer runs, not as a bare mid-batch layer error.
+// layer runs, not as a bare mid-batch layer error. The check is the
+// engine's (infer.ValidateBatch), which calls batch members inputs.
 func TestPredictBatchValidatesClipIndex(t *testing.T) {
 	m, err := SlowFastBuilder(smallCfg(29))()
 	if err != nil {
@@ -141,20 +137,20 @@ func TestPredictBatchValidatesClipIndex(t *testing.T) {
 
 	clips[2] = tensor.New(2, 16, 10, 16) // wrong channel count
 	_, err = PredictBatch(m, clips, nil)
-	if err == nil || !strings.Contains(err.Error(), "clip 2") {
-		t.Fatalf("bad-shape error = %v, want mention of clip 2", err)
+	if err == nil || !strings.Contains(err.Error(), "input 2") {
+		t.Fatalf("bad-shape error = %v, want mention of input 2", err)
 	}
 
 	clips[2] = tensor.New(1, 8, 10, 16) // mismatched against clip 0
 	_, err = PredictBatch(m, clips, nil)
-	if err == nil || !strings.Contains(err.Error(), "clip 2") {
-		t.Fatalf("mismatch error = %v, want mention of clip 2", err)
+	if err == nil || !strings.Contains(err.Error(), "input 2") {
+		t.Fatalf("mismatch error = %v, want mention of input 2", err)
 	}
 
 	clips[2] = nil
 	_, err = PredictBatch(m, clips, nil)
-	if err == nil || !strings.Contains(err.Error(), "clip 2") {
-		t.Fatalf("nil-clip error = %v, want mention of clip 2", err)
+	if err == nil || !strings.Contains(err.Error(), "input 2") {
+		t.Fatalf("nil-clip error = %v, want mention of input 2", err)
 	}
 }
 

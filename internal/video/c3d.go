@@ -21,10 +21,7 @@ type C3D struct {
 	net *nn.Sequential
 }
 
-var (
-	_ Classifier     = (*C3D)(nil)
-	_ BatchForwarder = (*C3D)(nil)
-)
+var _ Classifier = (*C3D)(nil)
 
 // NewC3D builds a C3D classifier for the given clip geometry (the T,
 // H, W, Classes, Seed fields of the shared config are used).
@@ -88,15 +85,10 @@ func (m *C3D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // Scratch comes from ws; the returned logits are fresh per-clip
 // tensors, bit-identical to the eval-mode Forward on each clip.
 func (m *C3D) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
+	if err := checkClips("c3d", xs, m.cfg.T); err != nil {
+		return nil, err
+	}
 	n := len(xs)
-	if n == 0 {
-		return nil, fmt.Errorf("c3d: empty batch")
-	}
-	for i, x := range xs {
-		if x.Rank() != 4 || x.Shape[0] != 1 || x.Shape[1] != m.cfg.T {
-			return nil, fmt.Errorf("c3d: clip %d shape %v, want [1,%d,H,W]", i, x.Shape, m.cfg.T)
-		}
-	}
 	defer ws.Reset()
 	logits, err := m.net.ForwardWS(stackClips(ws, xs), ws)
 	if err != nil {

@@ -8,14 +8,17 @@ package video
 import (
 	"fmt"
 
+	"safecross/internal/infer"
 	"safecross/internal/nn"
 	"safecross/internal/tensor"
 )
 
-// Classifier is a trainable video classifier.
+// Classifier is a trainable video classifier. Its eval path is the
+// engine contract: ForwardBatch maps n [1,T,H,W] clips to n rank-1
+// logit tensors, bit-identical to the eval-mode Forward per clip, so
+// every classifier serves and evaluates through infer.PredictBatch.
 type Classifier interface {
-	// Name identifies the architecture (e.g. "slowfast").
-	Name() string
+	infer.Model
 	// Forward maps a [1,T,H,W] clip to rank-1 class logits.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
 	// Backward consumes the loss gradient with respect to the logits,
@@ -23,8 +26,6 @@ type Classifier interface {
 	Backward(dlogits *tensor.Tensor) error
 	// Params returns all trainable parameters.
 	Params() []*nn.Param
-	// SetTrain toggles training-time behaviour (dropout etc.).
-	SetTrain(train bool)
 }
 
 // Builder constructs a fresh, randomly initialised classifier. MAML

@@ -59,10 +59,7 @@ type SlowFast struct {
 	cacheFastOut *tensor.Tensor
 }
 
-var (
-	_ Classifier     = (*SlowFast)(nil)
-	_ BatchForwarder = (*SlowFast)(nil)
-)
+var _ Classifier = (*SlowFast)(nil)
 
 // Channel widths of the two pathways. The β=1/4 fast/slow channel
 // ratio mirrors the paper's lightweight fast pathway.
@@ -221,15 +218,10 @@ func (m *SlowFast) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // from ws; the returned logits are fresh per-clip tensors,
 // bit-identical to the eval-mode Forward on each clip.
 func (m *SlowFast) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
+	if err := checkClips("slowfast", xs, m.cfg.T); err != nil {
+		return nil, err
+	}
 	n := len(xs)
-	if n == 0 {
-		return nil, fmt.Errorf("slowfast: empty batch")
-	}
-	for i, x := range xs {
-		if x.Rank() != 4 || x.Shape[0] != 1 || x.Shape[1] != m.cfg.T {
-			return nil, fmt.Errorf("slowfast: clip %d shape %v, want [1,%d,H,W]", i, x.Shape, m.cfg.T)
-		}
-	}
 	defer ws.Reset()
 
 	x := stackClips(ws, xs)

@@ -155,7 +155,7 @@ func Train(m Classifier, clips []*dataset.Clip, cfg TrainConfig) (*TrainResult, 
 			fmt.Fprintf(cfg.Log, "%s epoch %d/%d loss %.4f\n", m.Name(), epoch+1, cfg.Epochs, res.FinalLoss)
 		}
 		if len(cfg.Val) > 0 {
-			cm, err := Evaluate(m, cfg.Val)
+			cm, err := Evaluate(m, cfg.Val, nil)
 			if err != nil {
 				return nil, fmt.Errorf("video: validation: %w", err)
 			}
@@ -185,20 +185,14 @@ const evalChunk = 8
 
 // Evaluate runs the classifier over clips and returns the confusion
 // matrix, from which Top-1 and mean-class accuracy (the paper's
-// metrics) are read. Evaluation is batch-native: clips ride the
-// engine's batched forward in chunks, with one throwaway workspace
-// for the whole pass. Results are bit-identical to per-clip forwards.
-func Evaluate(m Classifier, clips []*dataset.Clip) (*nn.ConfusionMatrix, error) {
-	return EvaluateWS(m, clips, nn.NewWorkspace())
-}
-
-// EvaluateWS is Evaluate with caller-owned scratch: a long-lived
-// caller (the few-shot eval loop, a benchmark) passing the same
-// workspace keeps the whole evaluation allocation-pooled. Runs of
-// equally-shaped clips share one batched forward (up to evalChunk per
-// batch); a shape change just starts a new chunk. A nil ws is replaced
-// by a throwaway workspace.
-func EvaluateWS(m Classifier, clips []*dataset.Clip, ws *nn.Workspace) (*nn.ConfusionMatrix, error) {
+// metrics) are read. Evaluation is batch-native: runs of equally-shaped
+// clips share one engine forward (up to evalChunk per batch), and a
+// shape change just starts a new chunk. Scratch comes from ws; a nil ws
+// is replaced by one throwaway workspace for the whole pass, and a
+// long-lived caller (the few-shot eval loop, a benchmark) passing the
+// same workspace keeps evaluation allocation-pooled. Results are
+// bit-identical to per-clip forwards.
+func Evaluate(m Classifier, clips []*dataset.Clip, ws *nn.Workspace) (*nn.ConfusionMatrix, error) {
 	if len(clips) == 0 {
 		return nil, fmt.Errorf("video: no evaluation clips")
 	}
@@ -233,28 +227,13 @@ func EvaluateWS(m Classifier, clips []*dataset.Clip, ws *nn.Workspace) (*nn.Conf
 // sameShape reports whether two clip tensors share a shape; nil breaks
 // the run so validation reports the offending clip on its own.
 func sameShape(a, b *tensor.Tensor) bool {
-	if a == nil || b == nil || a.Rank() != b.Rank() {
-		return false
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			return false
-		}
-	}
-	return true
+	return a != nil && b != nil && a.SameShape(b)
 }
 
 // Predict classifies one clip, returning the predicted label. It is
 // the N=1 case of PredictBatch — there is no separate per-clip path.
 func Predict(m Classifier, input *tensor.Tensor) (int, error) {
-	return PredictWS(m, input, nil)
-}
-
-// PredictWS is Predict with caller-owned scratch, for callers that
-// classify clip after clip and want the pooled steady state (the
-// Framework's per-frame path, throughput studies).
-func PredictWS(m Classifier, input *tensor.Tensor, ws *nn.Workspace) (int, error) {
-	labels, err := PredictBatch(m, []*tensor.Tensor{input}, ws)
+	labels, err := PredictBatch(m, []*tensor.Tensor{input}, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -23,10 +23,7 @@ type TSN struct {
 	cacheIdx []int
 }
 
-var (
-	_ Classifier     = (*TSN)(nil)
-	_ BatchForwarder = (*TSN)(nil)
-)
+var _ Classifier = (*TSN)(nil)
 
 // tsnSnippets is the paper's 1x1x3 sampling: three snippets per clip.
 const tsnSnippets = 3
@@ -110,15 +107,10 @@ func (m *TSN) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // logits summed in sampling order, then scaled by 1/S — the exact
 // arithmetic of the per-clip Forward, so results are bit-identical.
 func (m *TSN) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
+	if err := checkClips("tsn", xs, m.cfg.T); err != nil {
+		return nil, err
+	}
 	n := len(xs)
-	if n == 0 {
-		return nil, fmt.Errorf("tsn: empty batch")
-	}
-	for i, x := range xs {
-		if x.Rank() != 4 || x.Shape[0] != 1 || x.Shape[1] != m.cfg.T {
-			return nil, fmt.Errorf("tsn: clip %d shape %v, want [1,%d,H,W]", i, x.Shape, m.cfg.T)
-		}
-	}
 	defer ws.Reset()
 	h, w := xs[0].Shape[2], xs[0].Shape[3]
 	idx := m.snippetIndices()

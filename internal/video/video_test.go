@@ -310,7 +310,7 @@ func TestTrainSlowFastLearnsTask(t *testing.T) {
 	if res.Steps == 0 {
 		t.Fatal("no optimizer steps taken")
 	}
-	cm, err := Evaluate(m, test)
+	cm, err := Evaluate(m, test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(m, nil, TrainConfig{}); err == nil {
 		t.Fatal("expected empty-trainset error")
 	}
-	if _, err := Evaluate(m, nil); err == nil {
+	if _, err := Evaluate(m, nil, nil); err == nil {
 		t.Fatal("expected empty-evalset error")
 	}
 }
@@ -408,7 +408,7 @@ func TestTrainWithCosineSmoothingEarlyStop(t *testing.T) {
 	if res.Epochs >= 30 {
 		t.Fatalf("early stop did not shorten the run: %d epochs", res.Epochs)
 	}
-	cm, err := Evaluate(m, val)
+	cm, err := Evaluate(m, val, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
