@@ -84,14 +84,17 @@ fleet-smoke:
 	$(GO) test -run TestFleetSmoke -count=1 ./cmd/safecross-fleet/
 
 # fuzz-smoke runs every native fuzz target for a short bounded burst:
-# the rsu wire-message decode/validate/re-encode round trip (seeded by
-# the committed corpus under internal/rsu/testdata/fuzz) and the
-# control-plane WAL replayer (arbitrary byte soup must never panic and
-# recovery must be idempotent). Seconds, not minutes — enough to catch
-# a property regression; leave the fuzzer running longer by hand to
-# hunt new inputs.
+# the vehicle-wire decode/validate/re-encode round trip (seeded by the
+# committed corpus under internal/rsu/testdata/fuzz), the same round
+# trip for fleet control frames (corpus under
+# internal/fleet/testdata/fuzz), and the control-plane WAL replayer
+# (arbitrary byte soup must never panic and recovery must be
+# idempotent). Seconds, not minutes — enough to catch a property
+# regression; leave the fuzzer running longer by hand to hunt new
+# inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 5s ./internal/rsu/
+	$(GO) test -run '^$$' -fuzz FuzzControlRoundTrip -fuzztime 5s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/fleet/
 
 # e2e-smoke vets and tests the end-to-end benchmark module under

@@ -255,15 +255,15 @@ func (a *Agent) session(conn net.Conn) bool {
 		return true
 	}
 
-	in := make(chan rsu.Message, 16)
+	in := make(chan ctrl, 16)
 	quit := make(chan struct{})
 	defer close(quit)
 	go func() {
 		defer close(in)
 		dec := json.NewDecoder(bufio.NewReader(conn))
 		for {
-			var msg rsu.Message
-			if err := dec.Decode(&msg); err != nil {
+			msg, err := readControl(dec)
+			if err != nil {
 				return
 			}
 			select {
@@ -286,11 +286,11 @@ func (a *Agent) session(conn net.Conn) bool {
 				return true
 			}
 			switch msg.Type {
-			case rsu.TypeHeartbeat:
+			case kindHeartbeat:
 				a.observeRTT()
-			case rsu.TypeAssign:
+			case kindAssign:
 				a.apply(msg)
-			case rsu.TypePromote:
+			case kindPromote:
 				// The primary moved. Re-target the control plane and
 				// re-register there — WITHOUT touching the running
 				// shards: ownership only changes on an assign or a
@@ -300,7 +300,7 @@ func (a *Agent) session(conn net.Conn) bool {
 				a.mu.Unlock()
 				a.log.Infof("fleet: node %q re-targeting coordinator %s (term %d)", a.cfg.ID, msg.Addr, msg.Term)
 				return true
-			case rsu.TypeRedirect:
+			case kindRedirect:
 				if a.isDraining() {
 					// Drain raced death detection; either way the
 					// shards are gone and the agent is done.
@@ -335,7 +335,7 @@ func (a *Agent) sendHeartbeat() error {
 	if conn == nil {
 		return fmt.Errorf("fleet: no coordinator connection")
 	}
-	msg := rsu.HeartbeatMessage(a.cfg.ID, a.cfg.Advertise, a.Epoch())
+	msg := heartbeatMsg(a.cfg.ID, a.cfg.Advertise, a.Epoch())
 	msg.Draining = draining
 	msg.DebugAddr = a.cfg.DebugAddr
 	a.sendMu.Lock()
@@ -374,10 +374,7 @@ func routeEpoch(term, epoch int64) int64 { return term<<32 | epoch }
 // shards to their new home. Assignments carry the issuing
 // coordinator's (term, epoch) stamp; anything that does not strictly
 // advance it is a stale primary's push and is dropped.
-func (a *Agent) apply(msg rsu.Message) {
-	if msg.Validate() != nil {
-		return
-	}
+func (a *Agent) apply(msg ctrl) {
 	term := msg.Term
 	if term < 1 {
 		term = 1 // pre-replication coordinators did not stamp terms

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -12,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"safecross/internal/rsu"
 	"safecross/internal/telemetry"
 )
 
@@ -75,7 +75,7 @@ type member struct {
 // outside it.
 type push struct {
 	m   *member
-	msg rsu.Message
+	msg ctrl
 }
 
 type coordMetrics struct {
@@ -192,12 +192,6 @@ func NewCoordinator(addr string, opts ...CoordinatorOption) (*Coordinator, error
 	}
 	if cfg.Standby {
 		c.role = RoleStandby
-		if rec != nil {
-			// Adopt the durable state verbatim and wait: if the whole
-			// control plane restarted, the restarted primary's stream (or
-			// a quorum election) takes it from here.
-			c.adoptWALLocked(rec, rec.Term)
-		}
 	} else {
 		// A birth primary opens term 1; every promotion opens a later
 		// term, so (term, epoch) orders coordinators across failovers.
@@ -205,14 +199,42 @@ func NewCoordinator(addr string, opts ...CoordinatorOption) (*Coordinator, error
 		c.term = 1
 		c.primaryAddr = c.Addr()
 		c.seeds = append([]string{c.Addr()}, cfg.Standbys...)
-		if rec != nil {
-			// Restart incarnation: resume the durable epoch under a
-			// strictly larger term — promotion-like, so this instance's
-			// pushes outrank anything agents saw before the crash even if
-			// the very last epoch missed its fsync window.
-			c.adoptWALLocked(rec, rec.Term+1)
-			c.primaryAddr = c.Addr()
+	}
+	if rec != nil {
+		// A reborn standby adopts the durable state verbatim and waits:
+		// the restarted primary's stream (or a quorum election) takes it
+		// from there. A reborn primary is a restart incarnation: it
+		// resumes the durable epoch under a strictly larger term —
+		// promotion-like, so its pushes outrank anything agents saw
+		// before the crash even if the very last epoch missed its fsync
+		// window.
+		term := rec.Term
+		if c.role == RolePrimary {
+			term++
 		}
+		// Restart grace: a re-binding agent first has to notice its
+		// control connection died, then sweep the seed list with capped
+		// backoff until it finds the reborn primary — easily a couple of
+		// backoff rounds on a loaded host. Restarted members get two
+		// extra DeadAfters before the failure detector may rule on them;
+		// a genuinely dead node just takes one restart-length beat longer
+		// to be caught, which a control plane that itself just died can
+		// afford.
+		c.adoptLocked(rec, term, 2*c.cfg.Timings.DeadAfter)
+		switch {
+		case c.role == RolePrimary:
+			c.primaryAddr = c.Addr()
+		case rec.Primary == c.Addr():
+			// This instance crashed as the primary but is reborn a
+			// standby: redirecting agents to "the primary" would point
+			// them straight back here in a loop. Claim ignorance until the
+			// real reborn primary's replication stream names itself.
+			c.primaryAddr = ""
+		}
+		c.log.Infof("fleet: coordinator %s resumed from wal (term %d, epoch %d, %d members, %d keys)",
+			c.Addr(), c.term, c.epoch, len(c.members), len(c.cfg.Intersections))
+	}
+	if c.role == RolePrimary {
 		c.registerMembershipGauges()
 		if c.wal != nil {
 			// The (possibly bumped) birth stamp must be durable before
@@ -245,7 +267,7 @@ func NewCoordinator(addr string, opts ...CoordinatorOption) (*Coordinator, error
 // when DataDir is configured, returning the last committed state (nil
 // for a fresh log or no data dir). Runs before the coordinator's
 // loops start.
-func (c *Coordinator) openDataDir() (*walRecord, error) {
+func (c *Coordinator) openDataDir() (*fleetView, error) {
 	if c.cfg.DataDir == "" {
 		return nil, nil
 	}
@@ -265,77 +287,20 @@ func (c *Coordinator) openDataDir() (*walRecord, error) {
 	return rec, nil
 }
 
-// adoptWALLocked resumes the durable state under the given term:
-// epoch, seeds, key set, assignment, and membership all come back, and
-// members re-enter with a fresh liveness stamp (conn == nil) so
-// redialing agents get a full DeadAfter grace to re-bind — the re-bind
-// path resends the identical owned set under the new term, which the
-// agent applies without starting or stopping a single runner. Runs
-// during construction, before any loop can race it.
-func (c *Coordinator) adoptWALLocked(rec *walRecord, term int64) {
-	c.term = term
-	c.epoch = rec.Epoch
-	c.primaryAddr = rec.Primary
-	if c.cfg.Standby && rec.Primary == c.Addr() {
-		// This instance crashed as the primary but is reborn a standby:
-		// redirecting agents to "the primary" would point them straight
-		// back here in a loop. Claim ignorance until the real reborn
-		// primary's replication stream names itself.
-		c.primaryAddr = ""
-	}
-	if len(rec.Seeds) > 0 {
-		c.seeds = append([]string(nil), rec.Seeds...)
-	}
-	if len(rec.Keys) > 0 {
-		c.cfg.Intersections = append([]int(nil), rec.Keys...)
-	}
-	c.owners = make(map[int]string, len(rec.Owners))
-	for k, v := range rec.Owners {
-		c.owners[k] = v
-	}
-	now := time.Now()
-	// Restart grace: a re-binding agent first has to notice its control
-	// connection died, then sweep the seed list with capped backoff
-	// until it finds the reborn primary — easily a couple of backoff
-	// rounds on a loaded host. Restarted members get two extra
-	// DeadAfters before the failure detector may rule on them; a
-	// genuinely dead node just takes one restart-length beat longer to
-	// be caught, which a control plane that itself just died can afford.
-	grace := now.Add(2 * c.cfg.Timings.DeadAfter)
-	for _, fm := range rec.Members {
-		m := &member{
-			id:        fm.Node,
-			addr:      fm.Addr,
-			debugAddr: fm.DebugAddr,
-			state:     stateFromString(fm.State),
-			last:      grace,
-			live:      c.reg.Gauge(fmt.Sprintf("fleet_node_live{node=%q}", fm.Node), "1 while the node is not declared dead"),
-		}
-		if m.state == Dead {
-			m.live.Set(0)
-		} else {
-			m.live.Set(1)
-		}
-		c.members[fm.Node] = m
-	}
-	c.lastRepl = now
-	c.log.Infof("fleet: coordinator %s resumed from wal (term %d, epoch %d, %d members, %d keys)",
-		c.Addr(), c.term, c.epoch, len(c.members), len(c.cfg.Intersections))
-}
-
-// walRecordLocked snapshots the committed state for the log — the
-// same fleet view a replicate frame carries. Callers hold c.mu.
-func (c *Coordinator) walRecordLocked() walRecord {
-	members := make([]rsu.FleetMember, 0, len(c.members))
+// viewLocked snapshots the coordinator's state: the one fleetView
+// that both the write-ahead log and replicate frames carry. Callers
+// hold c.mu.
+func (c *Coordinator) viewLocked() fleetView {
+	members := make([]viewMember, 0, len(c.members))
 	for _, m := range c.members {
-		members = append(members, rsu.FleetMember{Node: m.id, Addr: m.addr, DebugAddr: m.debugAddr, State: m.state.String()})
+		members = append(members, viewMember{Node: m.id, Addr: m.addr, DebugAddr: m.debugAddr, State: m.state.String()})
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].Node < members[j].Node })
 	owners := make(map[int]string, len(c.owners))
 	for k, v := range c.owners {
 		owners[k] = v
 	}
-	return walRecord{
+	return fleetView{
 		Term:    c.term,
 		Epoch:   c.epoch,
 		Primary: c.primaryAddr,
@@ -346,6 +311,54 @@ func (c *Coordinator) walRecordLocked() walRecord {
 	}
 }
 
+// adoptLocked installs a fleetView — a replicated frame's or a
+// replayed log record's — under the given term: epoch, primary, seeds,
+// key set, assignment and membership. Members absent from the view are
+// forgotten; adopted ones keep any live connection and get a liveness
+// stamp grace past now, so re-binding agents are not declared dead
+// before they find us. Callers hold c.mu.
+func (c *Coordinator) adoptLocked(v *fleetView, term int64, grace time.Duration) {
+	now := time.Now()
+	c.term, c.epoch = term, v.Epoch
+	c.primaryAddr = v.Primary
+	if len(v.Seeds) > 0 {
+		c.seeds = append([]string(nil), v.Seeds...)
+	}
+	if len(v.Keys) > 0 {
+		c.cfg.Intersections = append([]int(nil), v.Keys...)
+	}
+	c.owners = make(map[int]string, len(v.Owners))
+	for k, o := range v.Owners {
+		c.owners[k] = o
+	}
+	seen := make(map[string]bool, len(v.Members))
+	for _, vm := range v.Members {
+		seen[vm.Node] = true
+		m := c.members[vm.Node]
+		if m == nil {
+			m = &member{
+				id:   vm.Node,
+				live: c.reg.Gauge(fmt.Sprintf("fleet_node_live{node=%q}", vm.Node), "1 while the node is not declared dead"),
+			}
+			c.members[vm.Node] = m
+		}
+		m.addr, m.debugAddr = vm.Addr, vm.DebugAddr
+		m.state = stateFromString(vm.State)
+		m.last = now.Add(grace)
+		if m.state == Dead {
+			m.live.Set(0)
+		} else {
+			m.live.Set(1)
+		}
+	}
+	for id := range c.members {
+		if !seen[id] {
+			delete(c.members, id)
+		}
+	}
+	c.lastRepl = now
+}
+
 // persistLocked appends the current committed state to the write-ahead
 // log (no-op without one). Durability is batched — the background
 // flusher advances the commit watermark; transitions that cannot wait
@@ -354,7 +367,7 @@ func (c *Coordinator) persistLocked() {
 	if c.wal == nil {
 		return
 	}
-	c.wal.Append(c.walRecordLocked())
+	c.wal.Append(c.viewLocked())
 }
 
 // registerMembershipGauges (re-)binds the fleet-wide membership
@@ -488,19 +501,18 @@ func (c *Coordinator) handleNode(conn net.Conn) {
 	}()
 	first := true
 	for {
-		var msg rsu.Message
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := readControl(dec)
+		if err != nil {
+			if errors.Is(err, errBadFrame) {
+				c.log.Warnf("fleet: dropping control connection from %s: %v", conn.RemoteAddr(), err)
+			}
 			return
 		}
-		if msg.Validate() != nil {
-			c.log.Warnf("fleet: dropping control connection after invalid %q message", msg.Type)
-			return
-		}
-		if first && msg.Type == rsu.TypeReplicate {
+		if first && msg.Type == kindReplicate {
 			c.replicaSession(conn, dec, enc, msg)
 			return
 		}
-		if first && msg.Type == rsu.TypeVote {
+		if first && msg.Type == kindVote {
 			// A candidate standby asking whether we also find the
 			// primary silent: one ballot, one reply, done.
 			_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.PushTimeout))
@@ -508,7 +520,7 @@ func (c *Coordinator) handleNode(conn net.Conn) {
 			return
 		}
 		first = false
-		if msg.Type != rsu.TypeHeartbeat {
+		if msg.Type != kindHeartbeat {
 			c.log.Warnf("fleet: dropping control connection after bad message %q", msg.Type)
 			return
 		}
@@ -532,22 +544,22 @@ func (c *Coordinator) handleNode(conn net.Conn) {
 // standbyRedirect returns the promote message a standby answers agent
 // heartbeats with (zero message when it has not heard a primary yet —
 // the agent just moves to the next seed).
-func (c *Coordinator) standbyRedirect() (rsu.Message, bool) {
+func (c *Coordinator) standbyRedirect() (ctrl, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.role == RolePrimary {
-		return rsu.Message{}, false
+		return ctrl{}, false
 	}
 	if c.primaryAddr == "" || c.term < 1 {
-		return rsu.Message{}, true
+		return ctrl{}, true
 	}
-	return rsu.PromoteMessage(c.primaryAddr, c.term, c.epoch), true
+	return promoteMsg(c.primaryAddr, c.term, c.epoch), true
 }
 
 // onHeartbeat applies one heartbeat to the membership state and
 // returns the messages to send; last demands the connection be
 // dropped afterwards (a rejected dead node).
-func (c *Coordinator) onHeartbeat(pm **member, conn net.Conn, enc *json.Encoder, msg rsu.Message) (pushes []push, last bool) {
+func (c *Coordinator) onHeartbeat(pm **member, conn net.Conn, enc *json.Encoder, msg ctrl) (pushes []push, last bool) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -556,7 +568,7 @@ func (c *Coordinator) onHeartbeat(pm **member, conn net.Conn, enc *json.Encoder,
 		return nil, true
 	}
 	ack := func(m *member) push {
-		return push{m: m, msg: rsu.HeartbeatMessage(m.id, "", c.epoch)}
+		return push{m: m, msg: heartbeatMsg(m.id, "", c.epoch)}
 	}
 	m := *pm
 	if m == nil {
@@ -614,7 +626,7 @@ func (c *Coordinator) onHeartbeat(pm **member, conn net.Conn, enc *json.Encoder,
 		// rejoins as a newcomer.
 		c.metrics.lateHeartbeats.Inc()
 		c.log.Warnf("fleet: rejecting late heartbeat from %q (declared %v)", m.id, m.state)
-		return []push{{m: m, msg: rsu.RedirectMessage(0, c.Addr(), c.epoch)}}, true
+		return []push{{m: m, msg: redirectMsg(c.Addr(), c.epoch)}}, true
 	}
 	if msg.Draining {
 		if m.state != Dead {
@@ -642,7 +654,7 @@ func (c *Coordinator) onHeartbeat(pm **member, conn net.Conn, enc *json.Encoder,
 // assignMsgLocked builds the assignment push for one node from the
 // current owners map, stamped with the coordinator term so agents can
 // fence stale primaries. Callers hold c.mu.
-func (c *Coordinator) assignMsgLocked(id string) rsu.Message {
+func (c *Coordinator) assignMsgLocked(id string) ctrl {
 	var owned []int
 	table := make(map[int]string, len(c.owners))
 	for k, owner := range c.owners {
@@ -654,9 +666,7 @@ func (c *Coordinator) assignMsgLocked(id string) rsu.Message {
 		}
 	}
 	sort.Ints(owned)
-	msg := rsu.AssignMessage(c.epoch, owned, table)
-	msg.Term = c.term
-	return msg
+	return assignMsg(c.term, c.epoch, owned, table)
 }
 
 // reassignLocked recomputes the rendezvous assignment over the
@@ -690,7 +700,7 @@ func (c *Coordinator) reassignLocked(reason string) []push {
 // Failures are counted per peer and otherwise left to the heartbeat
 // detector — a node that cannot be written to will stop acking soon
 // enough.
-func (c *Coordinator) send(m *member, msg rsu.Message) {
+func (c *Coordinator) send(m *member, msg ctrl) {
 	c.mu.Lock()
 	conn, enc := m.conn, m.enc
 	c.mu.Unlock()

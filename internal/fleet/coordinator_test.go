@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"safecross/internal/rsu"
 	"safecross/internal/telemetry"
 )
 
@@ -42,7 +41,7 @@ type fakeNode struct {
 	id   string
 	conn net.Conn
 	enc  *json.Encoder
-	msgs chan rsu.Message
+	msgs chan ctrl
 	stop chan struct{}
 }
 
@@ -57,14 +56,14 @@ func dialFake(t *testing.T, coordAddr, id string) *fakeNode {
 		id:   id,
 		conn: conn,
 		enc:  json.NewEncoder(conn),
-		msgs: make(chan rsu.Message, 256),
+		msgs: make(chan ctrl, 256),
 		stop: make(chan struct{}),
 	}
 	go func() {
 		defer close(f.msgs)
 		dec := json.NewDecoder(bufio.NewReader(conn))
 		for {
-			var msg rsu.Message
+			var msg ctrl
 			if err := dec.Decode(&msg); err != nil {
 				return
 			}
@@ -80,7 +79,7 @@ func dialFake(t *testing.T, coordAddr, id string) *fakeNode {
 // heartbeat sends one heartbeat; errors are returned, not fatal,
 // because late heartbeats may legitimately hit a closing connection.
 func (f *fakeNode) heartbeat() error {
-	return f.enc.Encode(rsu.HeartbeatMessage(f.id, "rsu-"+f.id+":1", 0))
+	return f.enc.Encode(heartbeatMsg(f.id, "rsu-"+f.id+":1", 0))
 }
 
 // pump heartbeats on the test clock until stopPump is called.
@@ -188,7 +187,7 @@ func TestCoordinatorPartition(t *testing.T) {
 	if err := n2.heartbeat(); err != nil {
 		t.Fatalf("late heartbeat write: %v", err)
 	}
-	var redirect *rsu.Message
+	var redirect *ctrl
 	deadline := time.After(5 * time.Second)
 	for redirect == nil {
 		select {
@@ -196,7 +195,7 @@ func TestCoordinatorPartition(t *testing.T) {
 			if !ok {
 				t.Fatalf("connection closed before a redirect arrived")
 			}
-			if msg.Type == rsu.TypeRedirect {
+			if msg.Type == kindRedirect {
 				redirect = &msg
 			}
 		case <-deadline:

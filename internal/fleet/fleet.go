@@ -29,9 +29,8 @@
 //     agent keeps its current shards and redials with backoff, so a
 //     coordinator restart is invisible to traffic.
 //
-// The control plane speaks the rsu wire protocol (heartbeat, assign,
-// redirect messages as newline-delimited JSON over TCP), so one
-// message vocabulary covers both vehicles and fleet internals.
+// The control plane speaks its own newline-delimited JSON frames over
+// TCP (wire.go), separate from the vehicle protocol in package rsu.
 package fleet
 
 import (

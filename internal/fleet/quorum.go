@@ -19,8 +19,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"safecross/internal/rsu"
 )
 
 // maybeCampaignLocked decides whether this standby should run an
@@ -129,14 +127,11 @@ func (c *Coordinator) requestVote(peer string, term, epoch int64) bool {
 	}
 	defer func() { _ = conn.Close() }()
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.PushTimeout))
-	if err := json.NewEncoder(conn).Encode(rsu.VoteMessage(c.Addr(), term, epoch)); err != nil {
+	if err := json.NewEncoder(conn).Encode(voteMsg(c.Addr(), term, epoch)); err != nil {
 		return false
 	}
-	var reply rsu.Message
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&reply); err != nil {
-		return false
-	}
-	return reply.Type == rsu.TypeAck && reply.Validate() == nil && reply.Granted && reply.Term == term
+	reply, err := readControl(json.NewDecoder(bufio.NewReader(conn)))
+	return err == nil && reply.Type == kindAck && reply.Granted && reply.Term == term
 }
 
 // onVoteRequest is the voter side of an election: grant only when this
@@ -145,7 +140,7 @@ func (c *Coordinator) requestVote(peer string, term, epoch int64) bool {
 // from the primary for DeadAfter, the proposed term is news, and it
 // has not already pledged that term to a different candidate. A grant
 // also defers this coordinator's own candidacy (lastGrant).
-func (c *Coordinator) onVoteRequest(msg rsu.Message) rsu.Message {
+func (c *Coordinator) onVoteRequest(msg ctrl) ctrl {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -186,5 +181,5 @@ func (c *Coordinator) onVoteRequest(msg rsu.Message) rsu.Message {
 	} else {
 		c.log.Debugf("fleet: coordinator %s denied term %d to candidate %q", c.Addr(), msg.Term, msg.Addr)
 	}
-	return rsu.AckMessage(granted, msg.Term, c.epoch)
+	return ackMsg(granted, msg.Term, c.epoch)
 }

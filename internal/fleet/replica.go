@@ -20,11 +20,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
-	"safecross/internal/rsu"
 	"safecross/internal/telemetry"
 )
 
@@ -160,19 +158,19 @@ func (c *Coordinator) replicateStream(peer string, conn net.Conn, stop chan stru
 		defer close(done)
 		dec := json.NewDecoder(bufio.NewReader(conn))
 		for {
-			var msg rsu.Message
-			if err := dec.Decode(&msg); err != nil {
+			msg, err := readControl(dec)
+			if err != nil {
 				return
 			}
 			switch msg.Type {
-			case rsu.TypeHeartbeat:
+			case kindHeartbeat:
 				mu.Lock()
 				if !pending.IsZero() {
 					lag.ObserveDuration(time.Since(pending))
 					pending = time.Time{}
 				}
 				mu.Unlock()
-			case rsu.TypePromote:
+			case kindPromote:
 				c.maybeStepDown(msg.Term, msg.Epoch, msg.Addr)
 				return
 			}
@@ -181,7 +179,7 @@ func (c *Coordinator) replicateStream(peer string, conn net.Conn, stop chan stru
 	tick := time.NewTicker(c.cfg.Timings.HeartbeatEvery)
 	defer tick.Stop()
 	for {
-		msg, ok := c.replicateMsg()
+		msg, ok := c.replicateFrame()
 		if !ok {
 			return // stepped down or closed; this term's stream is over
 		}
@@ -209,46 +207,34 @@ func (c *Coordinator) replicateStream(peer string, conn net.Conn, stop chan stru
 	}
 }
 
-// replicateMsg snapshots the primary's replicated state into one wire
-// message; ok is false once this coordinator no longer leads.
-func (c *Coordinator) replicateMsg() (rsu.Message, bool) {
+// replicateFrame wraps the primary's view in one replicate frame; ok
+// is false once this coordinator no longer leads.
+func (c *Coordinator) replicateFrame() (ctrl, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.role != RolePrimary || c.closed {
-		return rsu.Message{}, false
+		return ctrl{}, false
 	}
-	members := make([]rsu.FleetMember, 0, len(c.members))
-	for _, m := range c.members {
-		members = append(members, rsu.FleetMember{Node: m.id, Addr: m.addr, DebugAddr: m.debugAddr, State: m.state.String()})
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i].Node < members[j].Node })
-	owners := make(map[int]string, len(c.owners))
-	for k, v := range c.owners {
-		owners[k] = v
-	}
-	keys := append([]int(nil), c.cfg.Intersections...)
-	seeds := append([]string(nil), c.seeds...)
-	msg := rsu.ReplicateMessage(c.term, c.epoch, c.Addr(), seeds, keys, owners, members)
+	v := c.viewLocked()
 	// The commit watermark: how far durability has caught up with this
 	// term. Standbys persist a replicated state only once the primary
 	// has it on disk, so the fleet's logs never run ahead of the
 	// primary's. A memory-only primary commits instantly.
+	commit := c.epoch
 	if c.wal != nil {
+		commit = 0
 		if dt, de := c.wal.Durable(); dt == c.term {
-			msg.Commit = de
+			commit = de
 		}
-	} else {
-		msg.Commit = c.epoch
 	}
-	return msg, true
+	return ctrl{Type: kindReplicate, Commit: commit, View: &v}, true
 }
 
 // replicaSession handles an inbound replication stream (the receiving
 // side): apply each replicate that advances (term, epoch), ack it
 // with a heartbeat echo, and fence anything stale with a promote
 // naming the primary we believe in.
-func (c *Coordinator) replicaSession(conn net.Conn, dec *json.Decoder, enc *json.Encoder, first rsu.Message) {
-	msg := first
+func (c *Coordinator) replicaSession(conn net.Conn, dec *json.Decoder, enc *json.Encoder, msg ctrl) {
 	for {
 		reply, drop := c.onReplicate(msg)
 		if reply.Type != "" {
@@ -261,10 +247,8 @@ func (c *Coordinator) replicaSession(conn net.Conn, dec *json.Decoder, enc *json
 		if drop {
 			return
 		}
-		if err := dec.Decode(&msg); err != nil {
-			return
-		}
-		if msg.Type != rsu.TypeReplicate || msg.Validate() != nil {
+		var err error
+		if msg, err = readControl(dec); err != nil || msg.Type != kindReplicate {
 			return
 		}
 	}
@@ -274,71 +258,37 @@ func (c *Coordinator) replicaSession(conn net.Conn, dec *json.Decoder, enc *json
 // the reply is a promote naming the leader we believe in, and drop
 // kills the connection so the stale primary redials only after
 // stepping down.
-func (c *Coordinator) onReplicate(msg rsu.Message) (reply rsu.Message, drop bool) {
-	now := time.Now()
+func (c *Coordinator) onReplicate(msg ctrl) (reply ctrl, drop bool) {
+	v := msg.View
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return rsu.Message{}, true
+		return ctrl{}, true
 	}
-	if !c.acceptsReplLocked(msg.Term, msg.Epoch, msg.Primary) {
+	if !c.acceptsReplLocked(v.Term, v.Epoch, v.Primary) {
 		c.log.Warnf("fleet: fencing stale replication from %q (term %d epoch %d; ours %d/%d)",
-			msg.Primary, msg.Term, msg.Epoch, c.term, c.epoch)
+			v.Primary, v.Term, v.Epoch, c.term, c.epoch)
 		leader := c.primaryAddr
 		if c.role == RolePrimary {
 			leader = c.Addr()
 		}
 		if leader == "" {
-			return rsu.Message{}, true
+			return ctrl{}, true
 		}
-		return rsu.PromoteMessage(leader, c.term, c.epoch), true
+		return promoteMsg(leader, c.term, c.epoch), true
 	}
 	if c.role == RolePrimary {
 		// A strictly newer primary exists; this one submits.
-		c.stepDownLocked(msg.Primary)
+		c.stepDownLocked(v.Primary)
 	}
-	c.term, c.epoch = msg.Term, msg.Epoch
-	c.primaryAddr = msg.Primary
-	c.seeds = append([]string(nil), msg.Seeds...)
-	c.cfg.Intersections = append([]int(nil), msg.Owned...)
-	c.lastRepl = now
-	c.owners = make(map[int]string, len(msg.Owners))
-	for k, v := range msg.Owners {
-		c.owners[k] = v
-	}
-	seen := make(map[string]bool, len(msg.Members))
-	for _, fm := range msg.Members {
-		seen[fm.Node] = true
-		m := c.members[fm.Node]
-		if m == nil {
-			m = &member{
-				id:   fm.Node,
-				live: c.reg.Gauge(fmt.Sprintf("fleet_node_live{node=%q}", fm.Node), "1 while the node is not declared dead"),
-			}
-			c.members[fm.Node] = m
-		}
-		m.addr = fm.Addr
-		m.debugAddr = fm.DebugAddr
-		m.state = stateFromString(fm.State)
-		m.last = now
-		if m.state == Dead {
-			m.live.Set(0)
-		} else {
-			m.live.Set(1)
-		}
-	}
-	for id := range c.members {
-		if !seen[id] {
-			delete(c.members, id)
-		}
-	}
-	if msg.Commit >= msg.Epoch {
+	c.adoptLocked(v, v.Term, 0)
+	if msg.Commit >= v.Epoch {
 		// The primary has this state on disk — mirror it into our own
 		// log so a full control-plane restart can resume from any
 		// surviving coordinator's directory.
 		c.persistLocked()
 	}
-	return rsu.HeartbeatMessage(c.Addr(), "", c.epoch), false
+	return heartbeatMsg(c.Addr(), "", c.epoch), false
 }
 
 // acceptsReplLocked is the fencing predicate: a replicate is applied

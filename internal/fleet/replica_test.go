@@ -103,17 +103,19 @@ func TestStandbyPromotionTimeline(t *testing.T) {
 		t.Fatalf("dial new primary: %v", err)
 	}
 	defer conn.Close()
-	stale := rsu.ReplicateMessage(oldTerm, epoch+1000, "127.0.0.1:9", []string{"127.0.0.1:9"},
-		keys, map[int]string{1: "zombie"}, []rsu.FleetMember{{Node: "zombie", Addr: "z:1", State: "live"}})
+	stale := ctrl{Type: kindReplicate, View: &fleetView{
+		Term: oldTerm, Epoch: epoch + 1000, Primary: "127.0.0.1:9", Seeds: []string{"127.0.0.1:9"},
+		Keys: keys, Owners: map[int]string{1: "zombie"}, Members: []viewMember{{Node: "zombie", Addr: "z:1", State: "live"}},
+	}}
 	if err := json.NewEncoder(conn).Encode(stale); err != nil {
 		t.Fatalf("send stale replicate: %v", err)
 	}
-	var reply rsu.Message
+	var reply ctrl
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&reply); err != nil {
 		t.Fatalf("read fencing reply: %v", err)
 	}
-	if reply.Type != rsu.TypePromote || reply.Addr != sb1.Addr() || reply.Term != term {
+	if reply.Type != kindPromote || reply.Addr != sb1.Addr() || reply.Term != term {
 		t.Fatalf("stale push answered with %+v; want promote to %s at term %d", reply, sb1.Addr(), term)
 	}
 	if sb1.Term() != term || sb1.Epoch() != epoch || sb1.Role() != RolePrimary {
@@ -245,10 +247,8 @@ func TestAgentFencesStaleAssignments(t *testing.T) {
 	}
 	defer a.Close()
 
-	assign := func(term, epoch int64, owned ...int) rsu.Message {
-		msg := rsu.AssignMessage(epoch, owned, map[int]string{})
-		msg.Term = term
-		return msg
+	assign := func(term, epoch int64, owned ...int) ctrl {
+		return assignMsg(term, epoch, owned, map[int]string{})
 	}
 	check := func(wantTerm, wantEpoch int64, wantOwned int) {
 		t.Helper()

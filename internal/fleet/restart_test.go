@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"safecross/internal/rsu"
 	"safecross/internal/telemetry"
 )
 
@@ -146,17 +145,17 @@ func TestControlPlaneRestartFromWAL(t *testing.T) {
 }
 
 // sendVote dials addr as a candidate and returns the decoded ack.
-func sendVote(t *testing.T, addr string, term, epoch int64) rsu.Message {
+func sendVote(t *testing.T, addr string, term, epoch int64) ctrl {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial voter: %v", err)
 	}
 	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(rsu.VoteMessage("127.0.0.1:65000", term, epoch)); err != nil {
+	if err := json.NewEncoder(conn).Encode(voteMsg("127.0.0.1:65000", term, epoch)); err != nil {
 		t.Fatalf("send ballot: %v", err)
 	}
-	var reply rsu.Message
+	var reply ctrl
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&reply); err != nil {
 		t.Fatalf("read ack: %v", err)
@@ -174,12 +173,12 @@ func TestQuorumDeniedByLivePrimary(t *testing.T) {
 	waitFor(t, "standby fed", func() bool { return sb.Primary() == primary.Addr() })
 
 	reply := sendVote(t, sb.Addr(), sb.Term()+1, sb.Epoch())
-	if reply.Type != rsu.TypeAck || reply.Granted {
+	if reply.Type != kindAck || reply.Granted {
 		t.Fatalf("standby that hears its primary answered %+v; want a denied ack", reply)
 	}
 	// The primary itself must also deny — it is the living refutation.
 	reply = sendVote(t, primary.Addr(), primary.Term()+1, primary.Epoch())
-	if reply.Type != rsu.TypeAck || reply.Granted {
+	if reply.Type != kindAck || reply.Granted {
 		t.Fatalf("live primary answered %+v; want a denied ack", reply)
 	}
 	if got := reg.Counter("fleet_quorum_votes_total", "").Value(); got != 0 {

@@ -31,22 +31,8 @@ import (
 	"sync"
 	"time"
 
-	"safecross/internal/rsu"
 	"safecross/internal/telemetry"
 )
-
-// walRecord is one committed control-plane state: the same fleet view
-// a replicate frame carries, stamped with the (term, epoch) fencing
-// pair.
-type walRecord struct {
-	Term    int64             `json:"term"`
-	Epoch   int64             `json:"epoch"`
-	Primary string            `json:"primary,omitempty"`
-	Seeds   []string          `json:"seeds,omitempty"`
-	Keys    []int             `json:"keys,omitempty"`
-	Owners  map[int]string    `json:"owners,omitempty"`
-	Members []rsu.FleetMember `json:"members,omitempty"`
-}
 
 const (
 	walHeaderLen = 8
@@ -94,7 +80,7 @@ type wal struct {
 	mu       sync.Mutex
 	f        *os.File
 	size     int64
-	last     walRecord
+	last     fleetView
 	haveLast bool
 	dirty    bool
 	// durable is the stamp of the last record an fsync has covered —
@@ -107,7 +93,7 @@ type wal struct {
 // the last intact record (nil for a fresh or empty log). Damaged
 // tails are truncated away and counted; replay never fails on content,
 // only on real I/O errors.
-func openWAL(path string, opts walOptions) (*wal, *walRecord, error) {
+func openWAL(path string, opts walOptions) (*wal, *fleetView, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = walSyncEvery
 	}
@@ -171,7 +157,7 @@ func openWAL(path string, opts walOptions) (*wal, *walRecord, error) {
 // intact record, the byte offset where intact data ends, and how many
 // trailing records were abandoned as damaged. The scan stops at the
 // FIRST bad frame: everything after a tear is unordered noise.
-func replayWAL(r io.ReadSeeker) (rec *walRecord, goodLen int64, torn int, err error) {
+func replayWAL(r io.ReadSeeker) (rec *fleetView, goodLen int64, torn int, err error) {
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, 0, fmt.Errorf("fleet: seek wal: %w", err)
 	}
@@ -195,7 +181,7 @@ func replayWAL(r io.ReadSeeker) (rec *walRecord, goodLen int64, torn int, err er
 		if crc32.ChecksumIEEE(payload) != want {
 			return rec, goodLen, torn + 1, nil // bit rot / torn write
 		}
-		var r2 walRecord
+		var r2 fleetView
 		if err := json.Unmarshal(payload, &r2); err != nil {
 			return rec, goodLen, torn + 1, nil // framed but unparseable
 		}
@@ -207,7 +193,7 @@ func replayWAL(r io.ReadSeeker) (rec *walRecord, goodLen int64, torn int, err er
 // Append writes one record. Failures degrade durability (counted and
 // logged) but never stop the control plane: an in-memory coordinator
 // is still better than none.
-func (w *wal) Append(rec walRecord) {
+func (w *wal) Append(rec fleetView) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		w.metrics.errors.Inc()

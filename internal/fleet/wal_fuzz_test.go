@@ -29,8 +29,8 @@ func FuzzWALReplay(f *testing.F) {
 		copy(b[walHeaderLen:], payload)
 		return b
 	}
-	rec1, _ := json.Marshal(walRecord{Term: 1, Epoch: 1, Primary: "p", Seeds: []string{"p"}})
-	rec2, _ := json.Marshal(walRecord{Term: 2, Epoch: 5, Primary: "q", Seeds: []string{"p", "q"}, Owners: map[int]string{0: "n0"}})
+	rec1, _ := json.Marshal(fleetView{Term: 1, Epoch: 1, Primary: "p", Seeds: []string{"p"}})
+	rec2, _ := json.Marshal(fleetView{Term: 2, Epoch: 5, Primary: "q", Seeds: []string{"p", "q"}, Owners: map[int]string{0: "n0"}})
 
 	f.Add([]byte{})
 	f.Add(frame(rec1))

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"safecross/internal/rsu"
 	"safecross/internal/telemetry"
 )
 
@@ -23,15 +22,15 @@ func walFrame(payload []byte) []byte {
 	return frame
 }
 
-func testRecord(term, epoch int64) walRecord {
-	return walRecord{
+func testRecord(term, epoch int64) fleetView {
+	return fleetView{
 		Term:    term,
 		Epoch:   epoch,
 		Primary: "127.0.0.1:7000",
 		Seeds:   []string{"127.0.0.1:7000", "127.0.0.1:7001"},
 		Keys:    []int{0, 1, 2},
 		Owners:  map[int]string{0: "node-0", 1: "node-1", 2: "node-0"},
-		Members: []rsu.FleetMember{
+		Members: []viewMember{
 			{Node: "node-0", Addr: "127.0.0.1:9000", State: "live"},
 			{Node: "node-1", Addr: "127.0.0.1:9001", State: "dead"},
 		},

@@ -1,6 +1,6 @@
 // Package rsu implements the roadside-unit deployment surface of
 // SafeCross: a TCP server that streams left-turn advisories and
-// scene-switch notifications to subscribed vehicle clients as
+// serving-plane health to subscribed vehicle clients as
 // newline-delimited JSON, and the matching client. This is the
 // "added to the existing infrastructure" integration the paper's
 // Fig. 1 sketches: the RSU has the global view; vehicles receive
@@ -10,7 +10,6 @@ package rsu
 import (
 	"fmt"
 
-	"safecross/internal/pipeswitch"
 	"safecross/internal/safecross"
 	"safecross/internal/serve"
 	"safecross/internal/telemetry"
@@ -25,74 +24,16 @@ const (
 	TypeWelcome = "welcome"
 	// TypeAdvisory carries a per-frame turn/no-turn decision.
 	TypeAdvisory = "advisory"
-	// TypeSwitch notifies that the RSU switched its scene model.
-	TypeSwitch = "switch"
 	// TypeStats carries a periodic serving-plane health snapshot.
 	TypeStats = "stats"
-
-	// TypeHeartbeat is the fleet liveness ping: a node agent sends it
-	// to the coordinator on an interval, and the coordinator echoes it
-	// back as the acknowledgement (carrying the current assignment
-	// epoch), which is how agents measure heartbeat RTT.
-	TypeHeartbeat = "heartbeat"
-	// TypeAssign is the coordinator's authoritative shard push: the
-	// set of intersections the receiving node owns plus the full
-	// intersection→owner-address table (so any node can redirect a
-	// misdirected vehicle).
-	TypeAssign = "assign"
-	// TypeRedirect tells the receiver the resource it wants lives
-	// elsewhere: sent to a vehicle subscribing for an intersection the
-	// node does not own, to subscribed vehicles when a shard moves
-	// away, and to a node whose late heartbeat arrived after it was
-	// declared dead (Addr then points back at the coordinator: rejoin).
+	// TypeRedirect tells a vehicle the intersection it wants lives
+	// elsewhere: sent in answer to a subscribe for an intersection the
+	// node does not own, and to subscribed vehicles when a shard moves
+	// away.
 	TypeRedirect = "redirect"
-
-	// TypeReplicate is the primary coordinator's state stream to a
-	// standby: the full epoch-versioned fleet view (membership,
-	// assignment, seed list) so any standby can resume as primary.
-	// Standbys fence on (term, epoch) — a replicate from a stale
-	// primary is rejected with a promote reply instead of applied.
-	TypeReplicate = "replicate"
-	// TypePromote announces where the primary coordinator is: a
-	// standby answers a node heartbeat with it (Addr names the
-	// primary), and a promoted standby uses it to fence a stale
-	// primary's pushes (forcing it to step down). Unlike a redirect,
-	// a promote never means "you are dead" — the receiver keeps its
-	// shards and simply re-heartbeats at Addr.
-	TypePromote = "promote"
-
-	// TypeVote is a standby coordinator's promotion ballot request:
-	// Addr names the candidate, Term the successor term it proposes
-	// (strictly above every term a primary has held), Epoch the
-	// candidate's replicated epoch. A candidate promotes itself only
-	// after a majority of the configured coordinators answer with a
-	// granted ack — replicate-silence confirmed by quorum, not by one
-	// clock.
-	TypeVote = "vote"
-	// TypeAck is the vote reply: Granted reports whether the receiver
-	// also sees the primary silent and has not pledged this term to
-	// another candidate; Term/Epoch carry the responder's own stamp so
-	// a denied candidate learns how far behind it is.
-	TypeAck = "ack"
 )
 
-// FleetMember is one node's membership record as replicated from the
-// primary coordinator to its standbys (replicate messages).
-type FleetMember struct {
-	// Node is the member's fleet identity.
-	Node string `json:"node"`
-	// Addr is the member's advertised RSU address.
-	Addr string `json:"addr,omitempty"`
-	// DebugAddr is the member's telemetry debug-listener address, so a
-	// promoted standby can keep federating the fleet's metrics.
-	DebugAddr string `json:"debug_addr,omitempty"`
-	// State is the primary's liveness verdict: "live", "suspect", or
-	// "dead" (dead tombstones replicate too, so a new primary keeps
-	// rejecting late heartbeats from reassigned nodes).
-	State string `json:"state"`
-}
-
-// Message is the single JSON envelope used on the wire.
+// Message is the vehicle protocol's JSON envelope.
 type Message struct {
 	// Type is one of the Type* constants.
 	Type string `json:"type"`
@@ -107,14 +48,9 @@ type Message struct {
 	Safe bool `json:"safe,omitempty"`
 	// Scene is the detected weather scene name.
 	Scene string `json:"scene,omitempty"`
-	// SwitchMicros is the model-switch latency in microseconds
-	// (switch messages).
-	SwitchMicros int64 `json:"switchMicros,omitempty"`
-	// Method is the switching method used (switch messages).
-	Method string `json:"method,omitempty"`
 	// Intersection identifies which intersection's camera an
-	// advisory or switch refers to when one RSU serves several
-	// (0 for a single-intersection deployment).
+	// advisory refers to when one RSU serves several (0 for a
+	// single-intersection deployment).
 	Intersection int `json:"intersection,omitempty"`
 	// Served is the number of verdicts the serving plane has
 	// delivered (stats messages).
@@ -125,63 +61,15 @@ type Message struct {
 	// P99Micros is the serving plane's p99 submit-to-verdict latency
 	// in microseconds (stats messages).
 	P99Micros int64 `json:"p99Micros,omitempty"`
-	// Node identifies an RSU node in the fleet control plane
-	// (heartbeat messages).
-	Node string `json:"node,omitempty"`
-	// Addr is an endpoint address: the node's advertised RSU address
-	// on a registering heartbeat, the new owner on a redirect, and the
-	// sender's own address on a welcome.
+	// Addr is an endpoint address: the new owner on a redirect, and
+	// the sender's own address on a welcome.
 	Addr string `json:"addr,omitempty"`
-	// Epoch is the assignment version the message reflects; receivers
-	// ignore assigns older than the epoch they already hold.
+	// Epoch is the routing version a redirect reflects.
 	Epoch int64 `json:"epoch,omitempty"`
-	// Term is the coordinator generation: it starts at 1 with the
-	// first primary and bumps every time a standby promotes itself.
-	// Receivers order control pushes by (term, epoch) lexicographically,
-	// so a partitioned stale primary — whatever epoch it reached alone —
-	// can never override a promoted standby's assignments.
-	Term int64 `json:"term,omitempty"`
-	// Commit is the replication commit watermark: the highest epoch of
-	// this term the primary has made durable in its write-ahead log
-	// (replicate messages). A standby persists the replicated state to
-	// its own log only once the watermark covers it, so no replica
-	// holds durable state the primary could still lose. Never above
-	// Epoch; 0 means nothing of this term is committed yet.
-	Commit int64 `json:"commit,omitempty"`
-	// Granted is the vote verdict on an ack: true means the responder
-	// also observes replicate-silence and pledges the proposed term to
-	// the candidate.
-	Granted bool `json:"granted,omitempty"`
-	// Seeds is the ordered coordinator seed list (replicate messages);
-	// a coordinator's rank is its index here, and the lowest-ranked
-	// live standby is the one that promotes.
-	Seeds []string `json:"seeds,omitempty"`
-	// Primary is the current primary coordinator's control address
-	// (replicate messages).
-	Primary string `json:"primary,omitempty"`
-	// Owners maps every intersection to its owning node id (replicate
-	// messages) — the id-level companion of Table, which maps to
-	// addresses.
-	Owners map[int]string `json:"owners,omitempty"`
-	// Members is the replicated membership, dead tombstones included
-	// (replicate messages).
-	Members []FleetMember `json:"members,omitempty"`
-	// Owned lists the intersections the receiving node owns (assign
-	// messages).
-	Owned []int `json:"owned,omitempty"`
-	// Table maps every intersection to its owner's RSU address
-	// (assign messages), so the receiver can redirect vehicles it does
-	// not serve.
-	Table map[int]string `json:"table,omitempty"`
-	// Draining marks a heartbeat as a graceful-leave announcement: the
-	// coordinator should move the node's shards now and expect it to
-	// disappear.
-	Draining bool `json:"draining,omitempty"`
 	// TraceID carries distributed trace context: the fleet-wide trace
 	// identity in telemetry.TraceID wire form (16 hex digits). A
 	// subscribe stamped with it lets the node trace the join; an
-	// advisory stamped with it lets the vehicle join the frame's trace;
-	// a heartbeat stamped with it traces the control-plane round trip.
+	// advisory stamped with it lets the vehicle join the frame's trace.
 	// Optional everywhere.
 	TraceID string `json:"trace_id,omitempty"`
 	// ParentSpan names the sender-side span this message hangs under
@@ -189,10 +77,6 @@ type Message struct {
 	// segment records where in the remote tree it belongs. Only
 	// meaningful alongside TraceID.
 	ParentSpan string `json:"parent_span,omitempty"`
-	// DebugAddr is the sender's debug listener address (heartbeat
-	// messages): the coordinator federates each live node's metrics and
-	// traces by scraping this endpoint.
-	DebugAddr string `json:"debug_addr,omitempty"`
 }
 
 // TraceContext decodes the message's trace fields into a trace ID and
@@ -220,11 +104,6 @@ func (m Message) WithTraceContext(id telemetry.TraceID, parentSpan string) Messa
 	return m
 }
 
-// AdvisoryMessage builds the advisory message for a decision.
-func AdvisoryMessage(frame int, d *safecross.Decision) Message {
-	return IntersectionAdvisory(0, frame, d)
-}
-
 // IntersectionAdvisory builds an advisory tagged with the
 // intersection it concerns, for RSUs multiplexing several cameras
 // through one serving plane.
@@ -249,74 +128,10 @@ func StatsMessage(st serve.Stats) Message {
 	}
 }
 
-// SwitchMessage builds the scene-switch notification.
-func SwitchMessage(scene string, rep pipeswitch.Report) Message {
-	return Message{
-		Type:         TypeSwitch,
-		Scene:        scene,
-		Method:       rep.Method,
-		SwitchMicros: rep.Total.Microseconds(),
-	}
-}
-
-// HeartbeatMessage builds a fleet liveness ping. Addr is the node's
-// advertised RSU address (required on the registering first heartbeat,
-// harmless later); the coordinator's echo carries the current epoch
-// instead.
-func HeartbeatMessage(node, addr string, epoch int64) Message {
-	return Message{Type: TypeHeartbeat, Node: node, Addr: addr, Epoch: epoch}
-}
-
-// AssignMessage builds the coordinator's shard push for one node.
-func AssignMessage(epoch int64, owned []int, table map[int]string) Message {
-	return Message{Type: TypeAssign, Epoch: epoch, Owned: owned, Table: table}
-}
-
-// RedirectMessage points the receiver at addr for the given
-// intersection (0 when the redirect is not intersection-scoped, e.g. a
-// dead node being sent back to the coordinator).
+// RedirectMessage points a vehicle at addr for the given
+// intersection.
 func RedirectMessage(intersection int, addr string, epoch int64) Message {
 	return Message{Type: TypeRedirect, Intersection: intersection, Addr: addr, Epoch: epoch}
-}
-
-// ReplicateMessage builds the primary coordinator's state push to one
-// standby: the whole fleet view under one (term, epoch) stamp. keys is
-// the full intersection list (travelling in Owned), owners the
-// intersection→node-id assignment, members the membership including
-// dead tombstones.
-func ReplicateMessage(term, epoch int64, primary string, seeds []string, keys []int, owners map[int]string, members []FleetMember) Message {
-	return Message{
-		Type:    TypeReplicate,
-		Term:    term,
-		Epoch:   epoch,
-		Primary: primary,
-		Seeds:   seeds,
-		Owned:   keys,
-		Owners:  owners,
-		Members: members,
-	}
-}
-
-// PromoteMessage names the primary coordinator: Addr is where the
-// receiver should heartbeat (keeping its shards), stamped with the
-// sender's (term, epoch) so a stale primary recognises it has been
-// superseded.
-func PromoteMessage(addr string, term, epoch int64) Message {
-	return Message{Type: TypePromote, Addr: addr, Term: term, Epoch: epoch}
-}
-
-// VoteMessage builds a candidate standby's ballot request: candidate
-// is its own control address, term the successor term it proposes
-// (≥ 2 — term 1 belongs to the birth primary and is never elected),
-// epoch its replicated epoch.
-func VoteMessage(candidate string, term, epoch int64) Message {
-	return Message{Type: TypeVote, Addr: candidate, Term: term, Epoch: epoch}
-}
-
-// AckMessage builds the vote reply, carrying the responder's own
-// (term, epoch) stamp alongside the verdict.
-func AckMessage(granted bool, term, epoch int64) Message {
-	return Message{Type: TypeAck, Granted: granted, Term: term, Epoch: epoch}
 }
 
 // Validate checks well-formedness of an inbound message.
@@ -344,57 +159,12 @@ func (m Message) Validate() error {
 			return fmt.Errorf("rsu: subscribe with negative intersection %d", m.Intersection)
 		}
 		return nil
-	case TypeHeartbeat:
-		if m.Node == "" {
-			return fmt.Errorf("rsu: heartbeat without node id")
-		}
-		return nil
-	case TypeAssign:
-		if m.Epoch < 1 {
-			return fmt.Errorf("rsu: assign with epoch %d, need >= 1", m.Epoch)
-		}
-		return nil
 	case TypeRedirect:
 		if m.Addr == "" {
 			return fmt.Errorf("rsu: redirect without target address")
 		}
 		return nil
-	case TypeReplicate:
-		if m.Term < 1 {
-			return fmt.Errorf("rsu: replicate with term %d, need >= 1", m.Term)
-		}
-		if m.Primary == "" {
-			return fmt.Errorf("rsu: replicate without primary address")
-		}
-		if len(m.Seeds) == 0 {
-			return fmt.Errorf("rsu: replicate without coordinator seed list")
-		}
-		if m.Commit < 0 || m.Commit > m.Epoch {
-			return fmt.Errorf("rsu: replicate commit watermark %d outside [0, epoch %d]", m.Commit, m.Epoch)
-		}
-		return nil
-	case TypeVote:
-		if m.Addr == "" {
-			return fmt.Errorf("rsu: vote without candidate address")
-		}
-		if m.Term < 2 {
-			return fmt.Errorf("rsu: vote proposing term %d, need >= 2 (term 1 is never elected)", m.Term)
-		}
-		return nil
-	case TypeAck:
-		if m.Term < 0 || m.Epoch < 0 {
-			return fmt.Errorf("rsu: ack with negative stamp (term %d, epoch %d)", m.Term, m.Epoch)
-		}
-		return nil
-	case TypePromote:
-		if m.Addr == "" {
-			return fmt.Errorf("rsu: promote without primary address")
-		}
-		if m.Term < 1 {
-			return fmt.Errorf("rsu: promote with term %d, need >= 1", m.Term)
-		}
-		return nil
-	case TypeWelcome, TypeAdvisory, TypeSwitch, TypeStats:
+	case TypeWelcome, TypeAdvisory, TypeStats:
 		return nil
 	default:
 		return fmt.Errorf("rsu: unknown message type %q", m.Type)

@@ -6,9 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"safecross/internal/pipeswitch"
 	"safecross/internal/safecross"
+	"safecross/internal/serve"
 	"safecross/internal/sim"
+	"safecross/internal/telemetry"
 )
 
 func TestMessageValidate(t *testing.T) {
@@ -21,11 +22,6 @@ func TestMessageValidate(t *testing.T) {
 		{name: "subscribe-missing-id", msg: Message{Type: TypeSubscribe}, wantErr: true},
 		{name: "advisory-ok", msg: Message{Type: TypeAdvisory}},
 		{name: "subscribe-negative-intersection", msg: Message{Type: TypeSubscribe, Vehicle: "v1", Intersection: -1}, wantErr: true},
-		{name: "heartbeat-ok", msg: HeartbeatMessage("node-a", "127.0.0.1:9", 3)},
-		{name: "heartbeat-missing-node", msg: Message{Type: TypeHeartbeat}, wantErr: true},
-		{name: "assign-ok", msg: AssignMessage(1, []int{1, 2}, map[int]string{1: "a:1", 2: "a:1"})},
-		{name: "assign-empty-owned-ok", msg: AssignMessage(4, nil, nil)},
-		{name: "assign-zero-epoch", msg: Message{Type: TypeAssign}, wantErr: true},
 		{name: "redirect-ok", msg: RedirectMessage(7, "127.0.0.1:9", 2)},
 		{name: "redirect-missing-addr", msg: Message{Type: TypeRedirect, Intersection: 7}, wantErr: true},
 		{name: "unknown", msg: Message{Type: "nope"}, wantErr: true},
@@ -40,16 +36,11 @@ func TestMessageValidate(t *testing.T) {
 	}
 }
 
-func TestAdvisoryAndSwitchMessages(t *testing.T) {
+func TestAdvisoryMessage(t *testing.T) {
 	d := &safecross.Decision{Ready: true, Safe: true, Scene: sim.Rain}
-	msg := AdvisoryMessage(42, d)
-	if msg.Type != TypeAdvisory || msg.Frame != 42 || !msg.Safe || !msg.Ready || msg.Scene != "rain" {
+	msg := IntersectionAdvisory(3, 42, d)
+	if msg.Type != TypeAdvisory || msg.Intersection != 3 || msg.Frame != 42 || !msg.Safe || !msg.Ready || msg.Scene != "rain" {
 		t.Fatalf("advisory message = %+v", msg)
-	}
-	rep := pipeswitch.Report{Method: "pipeswitch", Total: 6 * time.Millisecond}
-	sw := SwitchMessage("snow", rep)
-	if sw.Type != TypeSwitch || sw.Scene != "snow" || sw.SwitchMicros != 6000 || sw.Method != "pipeswitch" {
-		t.Fatalf("switch message = %+v", sw)
 	}
 }
 
@@ -99,7 +90,7 @@ func TestServerMultipleSubscribers(t *testing.T) {
 	}
 	waitFor(t, func() bool { return srv.Subscribers() == 3 })
 
-	srv.Broadcast(Message{Type: TypeSwitch, Scene: "rain"})
+	srv.Broadcast(Message{Type: TypeAdvisory, Scene: "rain"})
 	for i, c := range clients {
 		select {
 		case got := <-c.Messages():
@@ -220,5 +211,41 @@ func TestServerStats(t *testing.T) {
 	})
 	if s := srv.Stats(); s.Dropped != 0 {
 		t.Fatalf("unexpected drops: %+v", s)
+	}
+}
+
+// The vehicle wire is pinned byte for byte: these are the encodings
+// deployed vehicle clients already parse.
+func TestVehicleWireStable(t *testing.T) {
+	id, err := telemetry.ParseTraceID("4bf92f3577b34da6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		name string
+		msg  Message
+		want string
+	}{
+		{"subscribe", Message{Type: TypeSubscribe, Vehicle: "veh-1", Intersection: 3}.WithTraceContext(id, "attach"),
+			`{"type":"subscribe","vehicle":"veh-1","intersection":3,"trace_id":"4bf92f3577b34da6","parent_span":"attach"}`},
+		{"welcome", Message{Type: TypeWelcome, Vehicle: "veh-1", Intersection: 3, Addr: "127.0.0.1:9000"},
+			`{"type":"welcome","vehicle":"veh-1","intersection":3,"addr":"127.0.0.1:9000"}`},
+		{"advisory", IntersectionAdvisory(2, 42, &safecross.Decision{Ready: true, Safe: false, Scene: sim.Rain}).WithTraceContext(id, "broadcast"),
+			`{"type":"advisory","frame":42,"ready":true,"scene":"rain","intersection":2,"trace_id":"4bf92f3577b34da6","parent_span":"broadcast"}`},
+		{"advisory-safe", IntersectionAdvisory(1, 7, &safecross.Decision{Ready: true, Safe: true, Scene: sim.Day}),
+			`{"type":"advisory","frame":7,"ready":true,"safe":true,"scene":"day","intersection":1}`},
+		{"stats", StatsMessage(serve.Stats{Completed: 100, Rejected: 2, Expired: 1, P99: 1500 * time.Microsecond}),
+			`{"type":"stats","served":100,"rejected":3,"p99Micros":1500}`},
+		{"redirect", RedirectMessage(5, "127.0.0.1:9001", 9),
+			`{"type":"redirect","intersection":5,"addr":"127.0.0.1:9001","epoch":9}`},
+	}
+	for _, tt := range tests {
+		got, err := json.Marshal(tt.msg)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if string(got) != tt.want {
+			t.Errorf("%s encodes as\n %s\nwant\n %s", tt.name, got, tt.want)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Server is the RSU broadcast endpoint. It accepts vehicle
-// subscriptions and fans advisory/switch messages out to all
+// subscriptions and fans advisory/stats messages out to all
 // subscribers. Slow subscribers are disconnected rather than allowed
 // to stall the broadcast path (an RSU must stay real-time).
 type Server struct {

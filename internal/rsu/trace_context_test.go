@@ -10,7 +10,7 @@ import (
 	"safecross/internal/telemetry"
 )
 
-// Trace context rides every frame type as optional fields, but what
+// Trace context rides every vehicle frame as optional fields, but what
 // does arrive must be well-formed: Validate rejects malformed ids,
 // orphaned parent spans, and oversized parents before the message is
 // acted on.
@@ -24,7 +24,6 @@ func TestMessageValidateTraceContext(t *testing.T) {
 	}{
 		{name: "advisory-with-context", msg: ok(Message{Type: TypeAdvisory}.WithTraceContext(id, "broadcast"))},
 		{name: "subscribe-with-context", msg: ok(Message{Type: TypeSubscribe, Vehicle: "v1"}.WithTraceContext(id, "attach"))},
-		{name: "heartbeat-with-context", msg: ok(HeartbeatMessage("node-a", "127.0.0.1:9", 3).WithTraceContext(id, "hb"))},
 		{name: "context-without-parent", msg: Message{Type: TypeAdvisory, TraceID: id.String()}},
 		{name: "malformed-trace-id", msg: Message{Type: TypeAdvisory, TraceID: "not-hex-not-16"}, wantErr: true},
 		{name: "short-trace-id", msg: Message{Type: TypeAdvisory, TraceID: "abc"}, wantErr: true},
