@@ -278,7 +278,8 @@ func BenchmarkThroughput_Classification(b *testing.B) {
 
 // BenchmarkFig3_VPPipeline times one frame through the VP pipeline
 // (background subtraction, opening, occupancy grid) — the per-frame
-// cost of the deployed system's pre-processing.
+// cost of the deployed system's pre-processing — and asserts that in
+// steady state it allocates no more than the grid it returns.
 func BenchmarkFig3_VPPipeline(b *testing.B) {
 	world := sim.NewWorld(sim.Config{Weather: sim.Day, TruckPresent: true, Seed: 9})
 	vp := vision.NewPreprocessor(vision.DefaultVPConfig())
@@ -289,6 +290,13 @@ func BenchmarkFig3_VPPipeline(b *testing.B) {
 		}
 	}
 	frame := world.Render()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := vp.Process(frame); err != nil {
+			b.Fatal(err)
+		}
+	}); allocs > 1 {
+		b.Fatalf("steady-state VP pipeline allocates %.0f/run, want at most the returned grid", allocs)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

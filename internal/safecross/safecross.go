@@ -275,18 +275,25 @@ func (f *Framework) ProcessFrame(frame *vision.Image) (*Decision, error) {
 // ProcessFrameContext ingests one camera frame: scene detection
 // (possibly switching models), VP pre-processing into the clip ring,
 // and — once the ring is full — classification into a warning
-// decision. The context travels to the classify path: served
-// frameworks pass it (with its deadline and cancellation) to their
-// ClassifyFunc, together with the fail-safe criticality hint — a clip
-// is critical while the intersection has not re-established its safe
-// streak, i.e. whenever the current advisory is (or is about to be)
-// "don't turn".
+// decision. A frame with a NaN or ±Inf pixel is rejected with an error
+// before any of that, and it resets the safe streak. The context
+// travels to the classify path: served frameworks pass it (with its
+// deadline and cancellation) to their ClassifyFunc, together with the
+// fail-safe criticality hint — a clip is critical while the
+// intersection has not re-established its safe streak, i.e. whenever
+// the current advisory is (or is about to be) "don't turn".
 func (f *Framework) ProcessFrameContext(ctx context.Context, frame *vision.Image) (*Decision, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
-	d := &Decision{}
 	f.metrics.frames.Inc()
+	if !frame.Finite() {
+		// A corrupt frame feeds neither the scene debounce nor the clip
+		// ring, and the next TURN needs a fresh safe streak.
+		f.safeStreak = 0
+		return nil, fmt.Errorf("safecross: frame has a non-finite pixel")
+	}
+	d := &Decision{}
 	frameStart := time.Now()
 	detectStart := frameStart
 	scene, changed := f.monitor.Observe(frame)

@@ -2,6 +2,7 @@ package safecross
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"safecross/internal/dataset"
@@ -378,5 +379,57 @@ func TestNewServedValidation(t *testing.T) {
 	}
 	if _, err := NewServed(Config{ClipLen: -1}, ok, det); err == nil {
 		t.Fatal("expected clip-length error")
+	}
+}
+
+// A frame with a NaN or ±Inf pixel is rejected before scene detection:
+// it feeds neither the debounce streak nor the clip ring, leaves the
+// VP background usable, and the next TURN needs a fresh safe streak.
+func TestNonFiniteFrameRejected(t *testing.T) {
+	det, err := weather.FitFromSim(15, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	classify := func(ctx context.Context, scene sim.Weather, clip *tensor.Tensor, critical bool) (int, error) {
+		calls++
+		return dataset.ClassSafe, nil
+	}
+	f, err := NewServed(Config{ClipLen: 4, SafeStreak: 2}, classify, det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := sim.NewWorld(sim.Config{Weather: sim.Day, TruckPresent: true, Seed: 5})
+	step := func() *Decision {
+		t.Helper()
+		world.Step()
+		d, err := f.ProcessFrame(world.Render())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for i := 0; i < 6; i++ {
+		step()
+	}
+	if !step().Safe {
+		t.Fatal("the stub classifier's safe streak never released TURN")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		frame := world.Render()
+		frame.Pix[len(frame.Pix)/2] = bad
+		ring, monitor, before := len(f.ring), *f.monitor, calls
+		if _, err := f.ProcessFrame(frame); err == nil {
+			t.Fatalf("a frame with a %v pixel was accepted", bad)
+		}
+		if len(f.ring) != ring || *f.monitor != monitor || calls != before {
+			t.Fatalf("a rejected %v frame reached the ring, the scene monitor or the classifier", bad)
+		}
+		if d := step(); !d.Ready || d.Safe {
+			t.Fatalf("after a rejected %v frame: decision %+v, want a ready don't-turn verdict", bad, d)
+		}
+		if !step().Safe {
+			t.Fatalf("after a rejected %v frame the safe streak did not rebuild", bad)
+		}
 	}
 }

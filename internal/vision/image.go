@@ -293,3 +293,14 @@ func minInt(a, b int) int {
 	}
 	return b
 }
+
+// Finite reports whether every pixel is a finite number (no NaN or
+// ±Inf).
+func (im *Image) Finite() bool {
+	for _, v := range im.Pix {
+		if v-v != 0 { // NaN for NaN and ±Inf, 0 otherwise
+			return false
+		}
+	}
+	return true
+}

@@ -9,56 +9,39 @@ package vision
 // Erode returns the binary erosion of im with a (2r+1)×(2r+1) square
 // structuring element: a pixel survives only if its whole
 // neighbourhood is set. Pixels outside the image count as unset, so
-// blobs touching the border erode there too.
+// blobs touching the border erode there too. A pixel is read as set
+// unless it is below 0.5, so NaN counts as set; a negative r acts as 0.
 func Erode(im *Image, r int) *Image {
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			keep := true
-			for dy := -r; dy <= r && keep; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					if im.At(x+dx, y+dy) < 0.5 {
-						keep = false
-						break
-					}
-				}
-			}
-			if keep {
-				out.Pix[y*im.W+x] = 1
-			}
-		}
-	}
-	return out
+	return morphology(im, r, true, false)
 }
 
 // Dilate returns the binary dilation of im with a (2r+1)×(2r+1)
 // square structuring element: a pixel is set if any neighbour is set.
+// A pixel is read as set when it is at least 0.5, so NaN counts as
+// unset; a negative r acts as 0.
 func Dilate(im *Image, r int) *Image {
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			hit := false
-			for dy := -r; dy <= r && !hit; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					if im.At(x+dx, y+dy) >= 0.5 {
-						hit = true
-						break
-					}
-				}
-			}
-			if hit {
-				out.Pix[y*im.W+x] = 1
-			}
-		}
-	}
-	return out
+	return morphology(im, r, false, true)
 }
 
 // Open performs morphological opening: erosion followed by dilation
 // with the same structuring element radius. Small specks (noise)
 // vanish entirely; larger structures survive approximately unchanged.
 func Open(im *Image, r int) *Image {
-	return Dilate(Erode(im, r), r)
+	return morphology(im, r, true, true)
+}
+
+// morphology runs erosion and/or dilation on the packed form of im;
+// the float operators and the VP pipeline share these kernels.
+func morphology(im *Image, r int, erode, dilate bool) *Image {
+	var b, tmp bitmap
+	b.pack(im, erode)
+	if erode {
+		b.morph(r, true, &tmp)
+	}
+	if dilate {
+		b.morph(r, false, &tmp)
+	}
+	return b.unpack()
 }
 
 // Blob is a connected foreground region in a binary image.

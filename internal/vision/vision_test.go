@@ -358,6 +358,30 @@ func TestPreprocessorReset(t *testing.T) {
 			t.Fatal("first frame after Reset must prime, not detect")
 		}
 	}
+
+	// Reset keeps the buffers, but what follows must equal a fresh
+	// preprocessor's output on the same stream.
+	used := NewPreprocessor(DefaultVPConfig())
+	for _, f := range vpStream(7, 130, 40, 10) {
+		if _, err := used.Process(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used.Reset()
+	fresh := NewPreprocessor(DefaultVPConfig())
+	for k, f := range vpStream(8, 130, 40, 12) {
+		got, err := used.Process(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Process(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("frame %d after Reset: %v, fresh preprocessor %v", k, got.Pix, want.Pix)
+		}
+	}
 }
 
 func TestClipTensorLayout(t *testing.T) {

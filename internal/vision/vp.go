@@ -11,45 +11,33 @@ import (
 // This is the paper's Fig. 3(c) step: mapping detected movers into a
 // compact 2-D representation of the intersection so the classifier
 // has far fewer parameters to learn.
+//
+// Cell (gx, gy) covers columns [X0+⌊gx·cw⌋, X0+⌊(gx+1)·cw⌋) and the
+// matching rows, with cw = roi width / gw, widened to one pixel when
+// empty and clipped to the ROI; a pixel counts when it is ≥ 0.5.
 func OccupancyGrid(mask *Image, roi Rect, gw, gh int) (*Image, error) {
-	if gw <= 0 || gh <= 0 {
-		return nil, fmt.Errorf("vision: occupancy grid %dx%d must be positive", gw, gh)
+	roi, err := gridROI(mask.W, mask.H, roi, gw, gh)
+	if err != nil {
+		return nil, err
 	}
-	roi = roi.Intersect(Rect{X0: 0, Y0: 0, X1: mask.W, Y1: mask.H})
-	if roi.Empty() {
-		return nil, fmt.Errorf("vision: ROI outside image bounds")
-	}
+	var b bitmap
+	b.pack(mask, false)
 	out := NewImage(gw, gh)
-	cellW := float64(roi.Width()) / float64(gw)
-	cellH := float64(roi.Height()) / float64(gh)
-	for gy := 0; gy < gh; gy++ {
-		y0 := roi.Y0 + int(float64(gy)*cellH)
-		y1 := roi.Y0 + int(float64(gy+1)*cellH)
-		if y1 <= y0 {
-			y1 = y0 + 1
-		}
-		for gx := 0; gx < gw; gx++ {
-			x0 := roi.X0 + int(float64(gx)*cellW)
-			x1 := roi.X0 + int(float64(gx+1)*cellW)
-			if x1 <= x0 {
-				x1 = x0 + 1
-			}
-			on, total := 0, 0
-			for y := y0; y < y1 && y < roi.Y1; y++ {
-				row := mask.Pix[y*mask.W:]
-				for x := x0; x < x1 && x < roi.X1; x++ {
-					total++
-					if row[x] >= 0.5 {
-						on++
-					}
-				}
-			}
-			if total > 0 {
-				out.Pix[gy*gw+gx] = float64(on) / float64(total)
-			}
-		}
-	}
+	b.occupancy(roi, out)
 	return out, nil
+}
+
+// gridROI validates an occupancy-grid request on a w×h mask and
+// returns the ROI clipped to the mask.
+func gridROI(w, h int, roi Rect, gw, gh int) (Rect, error) {
+	if gw <= 0 || gh <= 0 {
+		return Rect{}, fmt.Errorf("vision: occupancy grid %dx%d must be positive", gw, gh)
+	}
+	roi = roi.Intersect(Rect{X0: 0, Y0: 0, X1: w, Y1: h})
+	if roi.Empty() {
+		return Rect{}, fmt.Errorf("vision: ROI outside image bounds")
+	}
+	return roi, nil
 }
 
 // VPConfig configures a Preprocessor.
@@ -86,9 +74,18 @@ func DefaultVPConfig() VPConfig {
 // Preprocessor is the VP module: it turns raw camera frames into
 // occupancy grids via dynamic background subtraction, opening, ROI
 // cropping, and grid pooling.
+//
+// Process runs the same kernels as BackgroundModel.Foreground, Open
+// and OccupancyGrid, without the float images between them: the
+// subtraction writes a bit-packed mask the preprocessor owns, opening
+// and pooling work on that mask, and the grids come from a shared
+// slab. Its grids are bit-identical to composing the three public
+// calls, and in steady state it allocates only the grids it returns.
 type Preprocessor struct {
-	cfg VPConfig
-	bg  *BackgroundModel
+	cfg       VPConfig
+	bg        *BackgroundModel
+	mask, tmp bitmap
+	grids     gridSlab
 }
 
 // NewPreprocessor creates a VP pipeline with the given configuration.
@@ -97,30 +94,30 @@ func NewPreprocessor(cfg VPConfig) *Preprocessor {
 }
 
 // Reset clears the learned background so the next frame re-primes it;
-// call when the camera feed cuts to a different scene.
-func (p *Preprocessor) Reset() { p.bg = NewBackgroundModel(p.cfg.Alpha) }
+// call when the camera feed cuts to a different scene. The buffers are
+// kept for the next frames.
+func (p *Preprocessor) Reset() { p.bg.primed = false }
 
 // Config returns the preprocessor configuration.
 func (p *Preprocessor) Config() VPConfig { return p.cfg }
 
 // Process converts one frame into its occupancy-grid representation,
-// updating the dynamic background as a side effect.
+// updating the dynamic background as a side effect. A frame with a
+// non-finite pixel is rejected before it reaches the background.
 func (p *Preprocessor) Process(frame *Image) (*Image, error) {
-	mask, err := p.bg.Foreground(frame, p.cfg.Threshold)
-	if err != nil {
-		return nil, fmt.Errorf("vp: %w", err)
-	}
-	if p.cfg.OpenRadius > 0 {
-		mask = Open(mask, p.cfg.OpenRadius)
+	if err := p.foreground(frame); err != nil {
+		return nil, err
 	}
 	roi := p.cfg.ROI
 	if roi.Empty() {
 		roi = Rect{X0: 0, Y0: 0, X1: frame.W, Y1: frame.H}
 	}
-	grid, err := OccupancyGrid(mask, roi, p.cfg.GridW, p.cfg.GridH)
+	roi, err := gridROI(frame.W, frame.H, roi, p.cfg.GridW, p.cfg.GridH)
 	if err != nil {
 		return nil, fmt.Errorf("vp: %w", err)
 	}
+	grid := p.grids.next(p.cfg.GridW, p.cfg.GridH)
+	p.mask.occupancy(roi, grid)
 	return grid, nil
 }
 
@@ -128,14 +125,47 @@ func (p *Preprocessor) Process(frame *Image) (*Image, error) {
 // resolution binary mask; the detection experiments (Table II) use
 // this directly.
 func (p *Preprocessor) ProcessMask(frame *Image) (*Image, error) {
-	mask, err := p.bg.Foreground(frame, p.cfg.Threshold)
-	if err != nil {
-		return nil, fmt.Errorf("vp: %w", err)
+	if err := p.foreground(frame); err != nil {
+		return nil, err
+	}
+	return p.mask.unpack(), nil
+}
+
+// foreground leaves the opened foreground mask of frame in p.mask.
+func (p *Preprocessor) foreground(frame *Image) error {
+	if err := p.bg.foreground(frame, p.cfg.Threshold, &p.mask); err != nil {
+		return fmt.Errorf("vp: %w", err)
 	}
 	if p.cfg.OpenRadius > 0 {
-		mask = Open(mask, p.cfg.OpenRadius)
+		p.mask.morph(p.cfg.OpenRadius, true, &p.tmp)
+		p.mask.morph(p.cfg.OpenRadius, false, &p.tmp)
 	}
-	return mask, nil
+	return nil
+}
+
+// gridSlabLen is the number of grids carved from one slab allocation.
+const gridSlabLen = 8
+
+// gridSlab hands out fresh grids carved from shared backing arrays, so
+// steady-state Process makes two allocations per gridSlabLen frames
+// instead of two per frame. A grid is never handed out twice: the
+// caller owns it, and a slab lives as long as any of its grids.
+type gridSlab struct {
+	imgs []Image
+	pix  []float64
+}
+
+// next returns a zeroed w×h grid.
+func (s *gridSlab) next(w, h int) *Image {
+	n := w * h
+	if len(s.imgs) == 0 || len(s.pix) < n {
+		s.imgs = make([]Image, gridSlabLen)
+		s.pix = make([]float64, gridSlabLen*n)
+	}
+	im := &s.imgs[0]
+	*im = Image{W: w, H: h, Pix: s.pix[:n:n]}
+	s.imgs, s.pix = s.imgs[1:], s.pix[n:]
+	return im
 }
 
 // ClipTensor stacks a sequence of occupancy grids into a [1,T,H,W]

@@ -1,6 +1,8 @@
 package weather
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"safecross/internal/sim"
@@ -140,5 +142,71 @@ func TestMonitorDefaultDebounce(t *testing.T) {
 	mon := NewMonitor(det, sim.Rain, 0)
 	if mon.Current() != sim.Rain {
 		t.Fatalf("initial scene = %v", mon.Current())
+	}
+}
+
+// naiveExtract is Extract as first written, one At() read per pixel of
+// every 3×3 window: the reference the row-slice version must match bit
+// for bit.
+func naiveExtract(im *vision.Image) Features {
+	var f Features
+	n := float64(im.W * im.H)
+	if n == 0 {
+		return f
+	}
+	sum := 0.0
+	speckles := 0
+	noise := 0.0
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			v := im.At(x, y)
+			sum += v
+			if v >= 0.985 || v <= 0.015 {
+				speckles++
+			}
+			if x > 0 && x < im.W-1 && y > 0 && y < im.H-1 {
+				local := 0.0
+				for dy := -1; dy <= 1; dy++ {
+					for dx := -1; dx <= 1; dx++ {
+						local += im.At(x+dx, y+dy)
+					}
+				}
+				noise += math.Abs(v - local/9)
+			}
+		}
+	}
+	f.Mean = sum / n
+	f.Speckle = float64(speckles) / n
+	inner := float64((im.W - 2) * (im.H - 2))
+	if inner > 0 {
+		f.Noise = noise / inner
+	}
+	return f
+}
+
+func sameFeatures(a, b Features) bool {
+	return math.Float64bits(a.Mean) == math.Float64bits(b.Mean) &&
+		math.Float64bits(a.Noise) == math.Float64bits(b.Noise) &&
+		math.Float64bits(a.Speckle) == math.Float64bits(b.Speckle)
+}
+
+func TestExtractMatchesNaive(t *testing.T) {
+	for i, w := range sim.AllWeathers() {
+		world := sim.NewWorld(sim.Config{Weather: w, Seed: 40 + int64(i), TurnerEnabled: true, TruckPresent: i == 1})
+		for k, frame := range world.RunFrames(12) {
+			if got, want := Extract(frame), naiveExtract(frame); !sameFeatures(got, want) {
+				t.Fatalf("%v frame %d: Extract %+v, reference %+v", w, k, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range [][2]int{{1, 1}, {1, 7}, {2, 5}, {3, 3}, {7, 2}, {9, 11}} {
+		im := vision.NewImage(size[0], size[1])
+		for j := range im.Pix {
+			im.Pix[j] = rng.Float64()
+		}
+		if got, want := Extract(im), naiveExtract(im); !sameFeatures(got, want) {
+			t.Fatalf("%dx%d: Extract %+v, reference %+v", size[0], size[1], got, want)
+		}
 	}
 }
