@@ -33,10 +33,13 @@ bench:
 # churn; the Fig8 benchmark drives the batched workspace path; the
 # detect-eval benchmark asserts the pooled score path stays
 # allocation-free at steady state; the Fig3 VP benchmark asserts a
-# frame allocates no more than the occupancy grid it returns) without
-# paying for a full measurement run.
+# frame allocates no more than the occupancy grid it returns; the
+# Conv3DEval micro-benchmark drives the direct eval convolution over
+# every SlowFast layer shape) without paying for a full measurement
+# run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkFig8_SlowFastInference|BenchmarkDetectEval|BenchmarkFewshotAdapt|BenchmarkFig3_VPPipeline' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkConv3DEval' -benchtime=1x ./internal/nn/
 
 # bench-json measures the inference hot paths (batched Fig8 inference,
 # the serving plane, detector eval, and few-shot adaptation) with

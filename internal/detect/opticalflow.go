@@ -132,8 +132,8 @@ func clusterPoints(pts []flow.Point, radius float64, minPts int) []vision.Rect {
 
 // DenseFlow is the Horn–Schunck detector: it thresholds the dense
 // flow magnitude and boxes the connected motion regions. It finds the
-// danger-zone vehicle reliably but costs two orders of magnitude more
-// than background subtraction (Table II's 224 ms vs 0.74 ms).
+// danger-zone vehicle reliably but costs about ten times more than
+// background subtraction here (Table II: 224 ms vs 0.74 ms).
 type DenseFlow struct {
 	// Alpha is the Horn–Schunck smoothness weight.
 	Alpha float64

@@ -102,8 +102,8 @@ func (d *Yolite) ForwardWS(x *tensor.Tensor, ws *nn.Workspace) (*tensor.Tensor, 
 }
 
 // ForwardBatch implements the unified engine contract (infer.Model):
-// n [1,H,W] frames ride one stacked [1,N,H,W] pass — one im2col + one
-// matmul per conv layer — and come back as n fresh [1,GH,GW] cell-
+// n [1,H,W] frames ride one stacked [1,N,H,W] pass — one direct
+// convolution call per conv layer — and come back as n fresh [1,GH,GW] cell-
 // logit tensors, bit-identical to Forward per frame.
 func (d *Yolite) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
 	defer ws.Reset()

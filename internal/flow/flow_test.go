@@ -178,3 +178,68 @@ func TestHornSchunckMoreItersMoreCost(t *testing.T) {
 		t.Fatal("iteration count has no effect; relaxation loop broken")
 	}
 }
+
+// hornSchunckRef is the plain Horn–Schunck relaxation, every pixel
+// averaged through the bounds-checked neighbour loop: the reference
+// HornSchunck's interior fast path must match bit for bit.
+func hornSchunckRef(prev, cur *vision.Image, alpha float64, iters int) (u, v []float64) {
+	w, h := prev.W, prev.H
+	n := w * h
+	ix, iy, it := make([]float64, n), make([]float64, n), make([]float64, n)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			ix[y*w+x] = ((prev.At(x+1, y) - prev.At(x-1, y)) + (cur.At(x+1, y) - cur.At(x-1, y))) / 4
+			iy[y*w+x] = ((prev.At(x, y+1) - prev.At(x, y-1)) + (cur.At(x, y+1) - cur.At(x, y-1))) / 4
+			it[y*w+x] = cur.At(x, y) - prev.At(x, y)
+		}
+	}
+	u, v = make([]float64, n), make([]float64, n)
+	ubar, vbar := make([]float64, n), make([]float64, n)
+	avg := func(f []float64, x, y int) float64 {
+		s, c := 0.0, 0
+		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+			nx, ny := x+d[0], y+d[1]
+			if nx < 0 || nx >= w || ny < 0 || ny >= h {
+				continue
+			}
+			s += f[ny*w+nx]
+			c++
+		}
+		if c == 0 {
+			return 0
+		}
+		return s / float64(c)
+	}
+	for k := 0; k < iters; k++ {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				ubar[y*w+x], vbar[y*w+x] = avg(u, x, y), avg(v, x, y)
+			}
+		}
+		for i := 0; i < n; i++ {
+			num := ix[i]*ubar[i] + iy[i]*vbar[i] + it[i]
+			den := alpha*alpha + ix[i]*ix[i] + iy[i]*iy[i]
+			u[i] = ubar[i] - ix[i]*num/den
+			v[i] = vbar[i] - iy[i]*num/den
+		}
+	}
+	return u, v
+}
+
+func TestHornSchunckMatchesReference(t *testing.T) {
+	for _, sz := range [][2]int{{32, 24}, {3, 3}, {2, 5}, {7, 1}, {1, 1}} {
+		w, h := sz[0], sz[1]
+		prev := movingSquare(w, h, float64(w)/2, float64(h)/2)
+		cur := movingSquare(w, h, float64(w)/2+1, float64(h)/2)
+		got, err := HornSchunck(prev, cur, 0.7, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantU, wantV := hornSchunckRef(prev, cur, 0.7, 25)
+		for i := range wantU {
+			if math.Float64bits(got.U[i]) != math.Float64bits(wantU[i]) || math.Float64bits(got.V[i]) != math.Float64bits(wantV[i]) {
+				t.Fatalf("%dx%d pixel %d: flow (%v, %v), reference (%v, %v)", w, h, i, got.U[i], got.V[i], wantU[i], wantV[i])
+			}
+		}
+	}
+}

@@ -33,9 +33,10 @@ type Model interface {
 	SetTrain(train bool)
 }
 
-// ValidateBatch checks a batch up front: non-empty, no nil inputs, and
-// one shape across the batch, so a malformed input is reported by
-// index instead of surfacing mid-batch as a bare layer error. Shape
+// ValidateBatch checks a batch up front: non-empty, no nil inputs, one
+// shape across the batch, and no NaN or ±Inf value, so a malformed
+// input is reported by index instead of surfacing mid-batch as a bare
+// layer error or, worse, as a verdict computed from garbage. Shape
 // semantics beyond uniformity (rank, channel count) belong to the
 // model.
 func ValidateBatch(xs []*tensor.Tensor) error {
@@ -48,6 +49,9 @@ func ValidateBatch(xs []*tensor.Tensor) error {
 		}
 		if !x.SameShape(xs[0]) {
 			return fmt.Errorf("infer: input %d has shape %v, want %v like input 0", i, x.Shape, xs[0].Shape)
+		}
+		if !x.AllFinite() {
+			return fmt.Errorf("infer: input %d has a non-finite value", i)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +98,23 @@ func TestPredictBatchValidation(t *testing.T) {
 	m.fail = true
 	if _, err := PredictBatch(m, []*tensor.Tensor{input(1, 0)}, nil); err == nil {
 		t.Fatal("expected forward error")
+	}
+}
+
+// A NaN or ±Inf input is refused by index before the model runs, so
+// it can neither yield a verdict nor poison its batch-mates'.
+func TestPredictBatchRejectsNonFinite(t *testing.T) {
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := &argmaxModel{}
+		xs := []*tensor.Tensor{input(1, 0), input(0, 1), input(2, 3)}
+		xs[i].Data[3] = bad
+		_, err := PredictBatch(m, xs, nil)
+		if want := fmt.Sprintf("input %d", i); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v in input %d: err = %v, want a non-finite error naming %q", bad, i, err, want)
+		}
+		if m.batches != 0 {
+			t.Fatalf("%v in input %d: the model ran on a non-finite batch", bad, i)
+		}
 	}
 }
 

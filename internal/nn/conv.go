@@ -142,10 +142,11 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// ForwardWS is the eval-mode forward: the column matrix and output
-// come from ws, no backward cache is written, and a channel-major
-// batched input [C,M,H,W] convolves all M samples with one im2col and
-// one matmul, yielding [OutC,M,OH,OW].
+// ForwardWS is the eval-mode forward: the output comes from ws, no
+// backward cache is written, and a channel-major batched input
+// [C,M,H,W] convolves all M samples in one call, yielding
+// [OutC,M,OH,OW]. The direct kernel (convEval) builds no column matrix
+// and is bit-identical to Forward.
 func (c *Conv2D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error) {
 	m := 1
 	var h, w int
@@ -162,46 +163,22 @@ func (c *Conv2D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, err
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("conv2d %s: kernel %dx%d too large for input %v", c.W.Name, c.kh, c.kw, x.Shape)
 	}
-	n := m * oh * ow
-	cols := ws.Get(c.inC*c.kh*c.kw, n)
-	if err := tensor.Im2ColBatchInto(cols, x, m, c.kh, c.kw, c.sh, c.sw, c.ph, c.pw); err != nil {
-		return nil, fmt.Errorf("conv2d %s: %w", c.W.Name, err)
-	}
-	out := ws.Get(c.outC, n)
-	if err := tensor.MatMulInto(out, c.W.Value, cols); err != nil {
-		return nil, fmt.Errorf("conv2d %s: %w", c.W.Name, err)
-	}
-	addBiasRows(out.Data, c.B.Value.Data, c.outC, n)
+	var out *tensor.Tensor
 	if x.Rank() == 3 {
-		out.Shape = append(out.Shape[:0], c.outC, oh, ow)
+		out = ws.Get(c.outC, oh, ow)
 	} else {
-		out.Shape = append(out.Shape[:0], c.outC, m, oh, ow)
+		out = ws.Get(c.outC, m, oh, ow)
 	}
+	convEval{
+		out: out.Data, x: x.Data, w: c.W.Value.Data, b: c.B.Value.Data,
+		inC: c.inC, outC: c.outC, n: m,
+		t: 1, h: h, wd: w,
+		kt: 1, kh: c.kh, kw: c.kw,
+		st: 1, sh: c.sh, sw: c.sw,
+		ph: c.ph, pw: c.pw,
+		ot: 1, oh: oh, ow: ow,
+	}.run(ws)
 	return out, nil
-}
-
-// addBiasRows adds bias[o] to each of the rows rows of n contiguous
-// output positions, fanning rows out over the kernel pool. The
-// closure is built only when the job splits, keeping small inline
-// kernels allocation-free.
-func addBiasRows(data, bias []float64, rows, n int) {
-	if tensor.ParallelChunks(rows, n) <= 1 {
-		addBiasRowsChunk(data, bias, n, 0, rows)
-		return
-	}
-	tensor.ParallelFor(rows, n, func(lo, hi int) {
-		addBiasRowsChunk(data, bias, n, lo, hi)
-	})
-}
-
-func addBiasRowsChunk(data, bias []float64, n, lo, hi int) {
-	for o := lo; o < hi; o++ {
-		b := bias[o]
-		row := data[o*n : (o+1)*n]
-		for i := range row {
-			row[i] += b
-		}
-	}
 }
 
 // Params returns the weight and bias parameters.
@@ -343,10 +320,11 @@ func (c *Conv3D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// ForwardWS is the eval-mode forward: scratch comes from ws, no
+// ForwardWS is the eval-mode forward: the output comes from ws, no
 // backward cache is written, and a channel-major batched input
-// [C,N,T,H,W] convolves all N volumes with one im2col and one matmul,
-// yielding [OutC,N,OT,OH,OW].
+// [C,N,T,H,W] convolves all N volumes in one call, yielding
+// [OutC,N,OT,OH,OW]. The direct kernel (convEval) builds no column
+// matrix and is bit-identical to Forward.
 func (c *Conv3D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error) {
 	bn := 1
 	var t, h, w int
@@ -364,21 +342,21 @@ func (c *Conv3D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, err
 	if ot <= 0 || oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("conv3d %s: kernel %dx%dx%d too large for input %v", c.W.Name, c.kt, c.kh, c.kw, x.Shape)
 	}
-	n := bn * ot * oh * ow
-	cols := ws.Get(c.inC*c.kt*c.kh*c.kw, n)
-	if err := tensor.Im2Col3DBatchInto(cols, x, bn, c.kt, c.kh, c.kw, c.st, c.sh, c.sw, c.pt, c.ph, c.pw); err != nil {
-		return nil, fmt.Errorf("conv3d %s: %w", c.W.Name, err)
-	}
-	out := ws.Get(c.outC, n)
-	if err := tensor.MatMulInto(out, c.W.Value, cols); err != nil {
-		return nil, fmt.Errorf("conv3d %s: %w", c.W.Name, err)
-	}
-	addBiasRows(out.Data, c.B.Value.Data, c.outC, n)
+	var out *tensor.Tensor
 	if x.Rank() == 4 {
-		out.Shape = append(out.Shape[:0], c.outC, ot, oh, ow)
+		out = ws.Get(c.outC, ot, oh, ow)
 	} else {
-		out.Shape = append(out.Shape[:0], c.outC, bn, ot, oh, ow)
+		out = ws.Get(c.outC, bn, ot, oh, ow)
 	}
+	convEval{
+		out: out.Data, x: x.Data, w: c.W.Value.Data, b: c.B.Value.Data,
+		inC: c.inC, outC: c.outC, n: bn,
+		t: t, h: h, wd: w,
+		kt: c.kt, kh: c.kh, kw: c.kw,
+		st: c.st, sh: c.sh, sw: c.sw,
+		pt: c.pt, ph: c.ph, pw: c.pw,
+		ot: ot, oh: oh, ow: ow,
+	}.run(ws)
 	return out, nil
 }
 
@@ -483,23 +461,22 @@ func (m *MaxPool2D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, 
 	} else {
 		out = ws.Get(c, bn, oh, ow)
 	}
-	planes := c * bn
-	if tensor.ParallelChunks(planes, oh*ow*m.K*m.K) <= 1 {
-		maxPoolPlanes(out.Data, x.Data, h, w, oh, ow, m.K, m.S, 0, planes)
-	} else {
-		tensor.ParallelFor(planes, oh*ow*m.K*m.K, func(lo, hi int) {
-			maxPoolPlanes(out.Data, x.Data, h, w, oh, ow, m.K, m.S, lo, hi)
-		})
-	}
+	ws.kern.maxPool = maxPoolEval{out: out.Data, x: x.Data, h: h, w: w, oh: oh, ow: ow, k: m.K, s: m.S}
+	ws.parallel(c*bn, oh*ow*m.K*m.K, &ws.kern.maxPool)
 	return out, nil
 }
 
-// maxPoolPlanes pools planes [lo, hi) — the chunk body of the
-// MaxPool2D eval forward.
-func maxPoolPlanes(outData, xData []float64, h, w, oh, ow, k, s, lo, hi int) {
+// maxPoolEval is the MaxPool2D eval kernel; an item is one plane.
+type maxPoolEval struct {
+	out, x             []float64
+	h, w, oh, ow, k, s int
+}
+
+func (e *maxPoolEval) chunk(lo, hi int) {
+	h, w, oh, ow, k, s := e.h, e.w, e.oh, e.ow, e.k, e.s
 	for pi := lo; pi < hi; pi++ {
-		plane := xData[pi*h*w:]
-		dst := outData[pi*oh*ow:]
+		plane := e.x[pi*h*w:]
+		dst := e.out[pi*oh*ow:]
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				best := plane[(oy*s)*w+ox*s]
@@ -594,27 +571,27 @@ func (g *GlobalAvgPool3D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Te
 		return nil, fmt.Errorf("gap3d: input shape %v, want [C,(N,)T,H,W]", x.Shape)
 	}
 	out := ws.Get(bn, c)
-	if tensor.ParallelChunks(c*bn, vol) <= 1 {
-		gapPlanes(out.Data, x.Data, c, bn, vol, 0, c*bn)
-	} else {
-		tensor.ParallelFor(c*bn, vol, func(lo, hi int) {
-			gapPlanes(out.Data, x.Data, c, bn, vol, lo, hi)
-		})
-	}
+	ws.kern.gap = gapEval{out: out.Data, x: x.Data, c: c, bn: bn, vol: vol}
+	ws.parallel(c*bn, vol, &ws.kern.gap)
 	return out, nil
 }
 
-// gapPlanes averages planes [lo, hi) — the chunk body of the
-// GlobalAvgPool3D eval forward.
-func gapPlanes(outData, xData []float64, c, bn, vol, lo, hi int) {
-	fvol := float64(vol)
+// gapEval is the GlobalAvgPool3D eval kernel; an item is one
+// (channel, sample) volume.
+type gapEval struct {
+	out, x     []float64
+	c, bn, vol int
+}
+
+func (k *gapEval) chunk(lo, hi int) {
+	fvol := float64(k.vol)
 	for pi := lo; pi < hi; pi++ {
-		ci, ni := pi/bn, pi%bn
+		ci, ni := pi/k.bn, pi%k.bn
 		s := 0.0
-		for _, v := range xData[pi*vol : (pi+1)*vol] {
+		for _, v := range k.x[pi*k.vol : (pi+1)*k.vol] {
 			s += v
 		}
-		outData[ni*c+ci] = s / fvol
+		k.out[ni*k.c+ci] = s / fvol
 	}
 }
 
@@ -715,25 +692,25 @@ func (p *TemporalAvgPool) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Te
 	} else {
 		out = ws.Get(c, bn, ot, h, w)
 	}
-	spat := h * w
-	if tensor.ParallelChunks(c*bn, ot*spat*p.K) <= 1 {
-		tpoolPlanes(out.Data, x.Data, t, ot, spat, p.K, 0, c*bn)
-	} else {
-		tensor.ParallelFor(c*bn, ot*spat*p.K, func(lo, hi int) {
-			tpoolPlanes(out.Data, x.Data, t, ot, spat, p.K, lo, hi)
-		})
-	}
+	ws.kern.tpool = tpoolEval{out: out.Data, x: x.Data, t: t, ot: ot, spat: h * w, k: p.K}
+	ws.parallel(c*bn, ot*h*w*p.K, &ws.kern.tpool)
 	return out, nil
 }
 
-// tpoolPlanes averages temporal windows for planes [lo, hi) — the
-// chunk body of the TemporalAvgPool eval forward.
-func tpoolPlanes(outData, xData []float64, t, ot, spat, k, lo, hi int) {
+// tpoolEval is the TemporalAvgPool eval kernel; an item is one
+// (channel, sample) volume.
+type tpoolEval struct {
+	out, x         []float64
+	t, ot, spat, k int
+}
+
+func (e *tpoolEval) chunk(lo, hi int) {
+	t, ot, spat, k := e.t, e.ot, e.spat, e.k
 	inv := 1 / float64(k)
 	for pi := lo; pi < hi; pi++ {
-		src := xData[pi*t*spat:]
+		src := e.x[pi*t*spat:]
 		for oz := 0; oz < ot; oz++ {
-			dst := outData[pi*ot*spat+oz*spat : pi*ot*spat+(oz+1)*spat]
+			dst := e.out[pi*ot*spat+oz*spat : pi*ot*spat+(oz+1)*spat]
 			for i := range dst {
 				dst[i] = 0
 			}

@@ -92,25 +92,25 @@ func (l *Linear) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, err
 	} else {
 		out = ws.Get(l.out)
 	}
-	if tensor.ParallelChunks(m, 2*l.in*l.out) <= 1 {
-		linearRows(out.Data, x.Data, l.W.Value.Data, l.B.Value.Data, l.in, l.out, 0, m)
-	} else {
-		tensor.ParallelFor(m, 2*l.in*l.out, func(lo, hi int) {
-			linearRows(out.Data, x.Data, l.W.Value.Data, l.B.Value.Data, l.in, l.out, lo, hi)
-		})
-	}
+	ws.kern.linear = linearEval{out: out.Data, x: x.Data, w: l.W.Value.Data, b: l.B.Value.Data, in: l.in, outDim: l.out}
+	ws.parallel(m, 2*l.in*l.out, &ws.kern.linear)
 	return out, nil
 }
 
-// linearRows computes output rows [lo, hi) — the chunk body of the
-// Linear eval forward.
-func linearRows(outData, xData, w, b []float64, in, outDim, lo, hi int) {
+// linearEval is the Linear eval kernel; an item is one feature row.
+type linearEval struct {
+	out, x, w, b []float64
+	in, outDim   int
+}
+
+func (k *linearEval) chunk(lo, hi int) {
+	in, outDim := k.in, k.outDim
 	for mi := lo; mi < hi; mi++ {
-		xrow := xData[mi*in : (mi+1)*in]
-		orow := outData[mi*outDim : (mi+1)*outDim]
+		xrow := k.x[mi*in : (mi+1)*in]
+		orow := k.out[mi*outDim : (mi+1)*outDim]
 		for o := 0; o < outDim; o++ {
-			wrow := w[o*in : (o+1)*in]
-			s := b[o]
+			wrow := k.w[o*in : (o+1)*in]
+			s := k.b[o]
 			for i, xv := range xrow {
 				s += wrow[i] * xv
 			}
@@ -168,24 +168,20 @@ func (r *ReLU) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 // inputs pass through unchanged in layout.
 func (r *ReLU) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error) {
 	out := ws.Get(x.Shape...)
-	if tensor.ParallelChunks(len(x.Data), 1) <= 1 {
-		reluChunk(out.Data, x.Data, 0, len(x.Data))
-	} else {
-		tensor.ParallelFor(len(x.Data), 1, func(lo, hi int) {
-			reluChunk(out.Data, x.Data, lo, hi)
-		})
-	}
+	ws.kern.relu = reluEval{out: out.Data, x: x.Data}
+	ws.parallel(len(x.Data), 1, &ws.kern.relu)
 	return out, nil
 }
 
-// reluChunk clamps elements [lo, hi) — the chunk body of the ReLU
-// eval forward.
-func reluChunk(outData, xData []float64, lo, hi int) {
+// reluEval is the ReLU eval kernel; an item is one element.
+type reluEval struct{ out, x []float64 }
+
+func (k *reluEval) chunk(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if v := xData[i]; v > 0 {
-			outData[i] = v
+		if v := k.x[i]; v > 0 {
+			k.out[i] = v
 		} else {
-			outData[i] = 0
+			k.out[i] = 0
 		}
 	}
 }
@@ -277,23 +273,24 @@ func (f *Flatten) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, er
 	vol := x.Shape[2] * x.Shape[3]
 	feat := c * vol
 	out := ws.Get(m, feat)
-	if tensor.ParallelChunks(m, feat) <= 1 {
-		flattenRows(out.Data, x.Data, c, m, vol, feat, 0, m)
-	} else {
-		tensor.ParallelFor(m, feat, func(lo, hi int) {
-			flattenRows(out.Data, x.Data, c, m, vol, feat, lo, hi)
-		})
-	}
+	ws.kern.flatten = flattenEval{out: out.Data, x: x.Data, c: c, m: m, vol: vol}
+	ws.parallel(m, feat, &ws.kern.flatten)
 	return out, nil
 }
 
-// flattenRows de-interleaves samples [lo, hi) from channel-major to
-// sample-major — the chunk body of the Flatten eval forward.
-func flattenRows(outData, xData []float64, c, m, vol, feat, lo, hi int) {
+// flattenEval de-interleaves samples from channel-major to
+// sample-major, the Flatten eval kernel; an item is one sample.
+type flattenEval struct {
+	out, x    []float64
+	c, m, vol int
+}
+
+func (k *flattenEval) chunk(lo, hi int) {
+	feat := k.c * k.vol
 	for mi := lo; mi < hi; mi++ {
-		dst := outData[mi*feat:]
-		for ci := 0; ci < c; ci++ {
-			copy(dst[ci*vol:(ci+1)*vol], xData[(ci*m+mi)*vol:])
+		dst := k.out[mi*feat:]
+		for ci := 0; ci < k.c; ci++ {
+			copy(dst[ci*k.vol:(ci+1)*k.vol], k.x[(ci*k.m+mi)*k.vol:])
 		}
 	}
 }

@@ -24,12 +24,21 @@ import (
 //     is handed back reshaped to whatever was asked for, so one batch
 //     size's buffers are reused verbatim and a smaller final batch
 //     still hits the pool when counts coincide.
-//   - Contents are arbitrary after Get. Kernels that accumulate or
-//     skip positions (matmul, im2col padding) zero their destination
-//     themselves; everything else overwrites fully.
+//   - Contents are arbitrary after Get. Kernels that accumulate (the
+//     conv kernel) zero their destination themselves; everything else
+//     overwrites fully.
 type Workspace struct {
 	free  map[int][]*tensor.Tensor
 	inUse []*tensor.Tensor
+
+	// kern holds the argument block of each eval kernel, and job the
+	// one currently running. A kernel that splits hands the pool
+	// workers a func value, which must live on the heap: runJob is
+	// bound once to this workspace and reads its arguments from kern,
+	// so a forward pass that splits allocates nothing either.
+	kern   evalKernels
+	job    chunker
+	runJob func(lo, hi int)
 
 	// Gets counts Get calls; Misses counts the ones that had to
 	// allocate. After warm-up Misses stops growing — tests and the
@@ -71,7 +80,40 @@ func (w *Workspace) Reset() {
 		w.inUse[i] = nil
 	}
 	w.inUse = w.inUse[:0]
+	w.kern = evalKernels{} // drop references to the caller's inputs
 }
+
+// chunker is an eval kernel: chunk computes the outputs owned by work
+// items [lo, hi), and no other item writes them.
+type chunker interface {
+	chunk(lo, hi int)
+}
+
+// evalKernels is the per-workspace storage of each eval kernel's
+// arguments; see Workspace.kern.
+type evalKernels struct {
+	conv    convEval
+	relu    reluEval
+	linear  linearEval
+	flatten flattenEval
+	maxPool maxPoolEval
+	gap     gapEval
+	tpool   tpoolEval
+}
+
+// parallel runs k over items [0, n), each costing about work scalar
+// operations, inline or split over the tensor kernel pool. k must point
+// into w.kern.
+func (w *Workspace) parallel(n, work int, k chunker) {
+	if w.runJob == nil {
+		w.runJob = w.chunkJob
+	}
+	w.job = k
+	tensor.ParallelFor(n, work, w.runJob)
+	w.job = nil
+}
+
+func (w *Workspace) chunkJob(lo, hi int) { w.job.chunk(lo, hi) }
 
 // WorkspaceLayer is implemented by layers with an allocation-
 // disciplined, eval-only forward pass: scratch and output buffers come
@@ -81,7 +123,7 @@ func (w *Workspace) Reset() {
 // ForwardWS additionally understands channel-major batched inputs:
 // where Forward takes [C,...] a WorkspaceLayer also accepts [C,N,...]
 // with the batch axis second, processing N samples in one pass (one
-// im2col + one matmul for the conv layers). Rank disambiguates; a
+// kernel call per layer). Rank disambiguates; a
 // single-sample input behaves exactly like Forward minus the caches.
 type WorkspaceLayer interface {
 	ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error)
@@ -121,7 +163,8 @@ func ConcatChannelsWS(ws *Workspace, a, b *tensor.Tensor) (*tensor.Tensor, error
 			return nil, fmt.Errorf("nn: concat dims differ at axis %d: %v vs %v", i, a.Shape, b.Shape)
 		}
 	}
-	shape := append([]int{a.Shape[0] + b.Shape[0]}, a.Shape[1:]...)
+	var buf [8]int // shape scratch: Get copies it, so it stays on the stack
+	shape := append(append(buf[:0], a.Shape[0]+b.Shape[0]), a.Shape[1:]...)
 	out := ws.Get(shape...)
 	copy(out.Data, a.Data)
 	copy(out.Data[len(a.Data):], b.Data)

@@ -276,7 +276,9 @@ func (f *Framework) ProcessFrame(frame *vision.Image) (*Decision, error) {
 // (possibly switching models), VP pre-processing into the clip ring,
 // and — once the ring is full — classification into a warning
 // decision. A frame with a NaN or ±Inf pixel is rejected with an error
-// before any of that, and it resets the safe streak. The context
+// before any of that, and it resets the safe streak; so does a clip the
+// classifier fails on: a frame without a verdict never counts towards,
+// nor bridges, the safe streak that releases TURN. The context
 // travels to the classify path: served frameworks pass it (with its
 // deadline and cancellation) to their ClassifyFunc, together with the
 // fail-safe criticality hint — a clip is critical while the
@@ -339,6 +341,7 @@ func (f *Framework) ProcessFrameContext(ctx context.Context, frame *vision.Image
 		// decides whether it may release — priority traffic.
 		critical := f.safeStreak < f.cfg.SafeStreak
 		if label, err = f.classify(ctx, scene, clip, critical); err != nil {
+			f.safeStreak = 0
 			return nil, fmt.Errorf("safecross: classify: %w", err)
 		}
 	} else {
@@ -347,6 +350,7 @@ func (f *Framework) ProcessFrameContext(ctx context.Context, frame *vision.Image
 		}
 		labels, err := video.PredictBatch(f.models[scene], []*tensor.Tensor{clip}, f.ws)
 		if err != nil {
+			f.safeStreak = 0
 			return nil, fmt.Errorf("safecross: classify: %w", err)
 		}
 		label = labels[0]

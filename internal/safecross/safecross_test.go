@@ -2,6 +2,7 @@ package safecross
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -431,5 +432,54 @@ func TestNonFiniteFrameRejected(t *testing.T) {
 		if !step().Safe {
 			t.Fatalf("after a rejected %v frame the safe streak did not rebuild", bad)
 		}
+	}
+}
+
+// A classify error yields no verdict, so it must break the safe streak
+// like a danger verdict: with SafeStreak 2, safe → error → safe must
+// not release TURN.
+func TestClassifyErrorResetsSafeStreak(t *testing.T) {
+	det, err := weather.FitFromSim(15, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failNext := false
+	classify := func(ctx context.Context, scene sim.Weather, clip *tensor.Tensor, critical bool) (int, error) {
+		if failNext {
+			failNext = false
+			return 0, errors.New("serve plane unavailable")
+		}
+		return dataset.ClassSafe, nil
+	}
+	f, err := NewServed(Config{ClipLen: 4, SafeStreak: 2}, classify, det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := sim.NewWorld(sim.Config{Weather: sim.Day, TruckPresent: true, Seed: 5})
+	step := func() (*Decision, error) {
+		world.Step()
+		return f.ProcessFrame(world.Render())
+	}
+	var d *Decision
+	for !(d != nil && d.Ready) {
+		if d, err = step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Safe {
+		t.Fatal("one safe verdict released TURN with SafeStreak 2")
+	}
+	failNext = true
+	if _, err := step(); err == nil {
+		t.Fatal("a failed classify returned no error")
+	}
+	if d, err = step(); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Ready || d.Safe {
+		t.Fatalf("safe → error → safe: decision %+v, want a ready don't-turn verdict", d)
+	}
+	if d, err = step(); err != nil || !d.Safe {
+		t.Fatalf("two safe verdicts after the error: decision %+v (err %v), want TURN", d, err)
 	}
 }

@@ -16,9 +16,10 @@ type serveMetrics struct {
 	// Admission outcomes. Together they tile the request lifecycle:
 	// every submitted request ends in exactly one of completed,
 	// cancelled, expired, failed, or shed, and every refused submission
-	// lands in rejected.
+	// lands in rejected (queue full) or invalid (malformed request).
 	submitted     *telemetry.Counter
 	rejected      *telemetry.Counter
+	invalid       *telemetry.Counter
 	shed          *telemetry.Counter
 	cancelled     *telemetry.Counter
 	expired       *telemetry.Counter
@@ -63,6 +64,7 @@ func newServeMetrics(reg *telemetry.Registry) serveMetrics {
 	return serveMetrics{
 		submitted:     reg.Counter("serve_submitted_total", "requests accepted into the admission queue"),
 		rejected:      reg.Counter("serve_rejected_total", "submissions refused for a full queue"),
+		invalid:       reg.Counter("serve_invalid_total", "submissions refused as malformed: nil or non-finite clip, unknown scene"),
 		shed:          reg.Counter("serve_shed_total", "admitted routine requests shed for a critical admission"),
 		cancelled:     reg.Counter("serve_cancelled_total", "queued requests whose context fired before dispatch"),
 		expired:       reg.Counter("serve_expired_total", "queued requests shed for a lapsed deadline"),

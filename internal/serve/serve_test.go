@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +141,32 @@ func TestSubmitValidation(t *testing.T) {
 	cancel()
 	if _, err := s.Submit(cancelled, Request{Scene: sim.Day, Clip: testClip()}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled for a pre-cancelled ctx", err)
+	}
+}
+
+// A clip with a NaN or ±Inf value is refused before admission and
+// counted as invalid: it is never queued, so it cannot share a batch
+// with another feed's clip, and the plane keeps serving good clips.
+func TestSubmitRejectsNonFiniteClip(t *testing.T) {
+	s, err := New(Config{Workers: 1}, stubFactory(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		clip := testClip()
+		clip.Data[len(clip.Data)-1] = bad
+		if _, err := s.Submit(ctx, Request{Scene: sim.Day, Clip: clip}); err == nil {
+			t.Fatalf("a clip with a %v value was admitted", bad)
+		}
+		if st := s.Stats(); st.Invalid != i+1 || st.Submitted != 0 || st.Batches != 0 {
+			t.Fatalf("after a %v clip: invalid %d submitted %d batches %d, want %d, 0, 0", bad, st.Invalid, st.Submitted, st.Batches, i+1)
+		}
+	}
+	v, err := s.Submit(ctx, Request{Scene: sim.Day, Clip: testClip()})
+	if err != nil || v.Label != dataset.ClassSafe {
+		t.Fatalf("good clip after rejected ones: verdict %+v, err %v", v, err)
 	}
 }
 

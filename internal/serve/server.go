@@ -201,12 +201,20 @@ func New(cfg Config, factory ModelFactory) (*Server, error) {
 // ctx.Err() immediately and drops the request from its bucket before
 // dispatch. Submission never blocks on admission: a full queue
 // returns ErrQueueFull immediately — unless the request is Critical
-// and a queued un-aged Routine request can be shed to make room.
+// and a queued un-aged Routine request can be shed to make room. A
+// malformed request (nil clip, a NaN or ±Inf value in the clip, no
+// model for its scene) is refused before admission and counted in
+// Stats.Invalid, so it never shares a batch with other feeds' clips.
 func (s *Server) Submit(ctx context.Context, req Request) (Verdict, error) {
-	if req.Clip == nil {
+	switch {
+	case req.Clip == nil:
+		s.metrics.invalid.Inc()
 		return Verdict{}, fmt.Errorf("serve: nil clip")
-	}
-	if !s.scenes[req.Scene] {
+	case !req.Clip.AllFinite():
+		s.metrics.invalid.Inc()
+		return Verdict{}, fmt.Errorf("serve: clip has a non-finite value")
+	case !s.scenes[req.Scene]:
+		s.metrics.invalid.Inc()
 		return Verdict{}, fmt.Errorf("serve: no model for scene %v", req.Scene)
 	}
 	if err := ctx.Err(); err != nil {

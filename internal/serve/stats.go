@@ -17,6 +17,10 @@ type Stats struct {
 	// Rejected counts submissions refused for a full queue
 	// (ErrQueueFull backpressure).
 	Rejected int
+	// Invalid counts submissions refused before admission as
+	// malformed: a nil clip, a clip with a NaN or ±Inf value, or a
+	// scene without a model.
+	Invalid int
 	// Shed counts admitted Routine requests pushed back out (with
 	// ErrQueueFull) so a Critical request could take their slot.
 	Shed int
@@ -166,6 +170,7 @@ func (s *Server) Stats() Stats {
 	out := Stats{
 		Submitted:     snap.Int("serve_submitted_total"),
 		Rejected:      snap.Int("serve_rejected_total"),
+		Invalid:       snap.Int("serve_invalid_total"),
 		Shed:          snap.Int("serve_shed_total"),
 		Cancelled:     snap.Int("serve_cancelled_total"),
 		Expired:       snap.Int("serve_expired_total"),

@@ -11,221 +11,85 @@ func ConvOutSize(n, k, s, p int) int {
 // Im2Col unrolls a [C,H,W] tensor into a [C*KH*KW, OH*OW] matrix so
 // that a 2-D convolution becomes a single matrix multiply with a
 // weight matrix of shape [OC, C*KH*KW]. Out-of-bounds (padding)
-// positions contribute zeros.
+// positions contribute zeros. It is the T=1 case of Im2Col3D, whose
+// column layout it shares.
 func Im2Col(x *Tensor, kh, kw, sh, sw, ph, pw int) (*Tensor, error) {
 	if x.Rank() != 3 {
 		return nil, fmt.Errorf("tensor: im2col needs [C,H,W] input, got %v", x.Shape)
 	}
-	c := x.Shape[0]
-	oh := ConvOutSize(x.Shape[1], kh, sh, ph)
-	ow := ConvOutSize(x.Shape[2], kw, sw, pw)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("tensor: im2col produces empty output for input %v kernel %dx%d", x.Shape, kh, kw)
-	}
-	cols := New(c*kh*kw, oh*ow)
-	if err := Im2ColBatchInto(cols, x, 1, kh, kw, sh, sw, ph, pw); err != nil {
-		return nil, err
+	cols, err := Im2Col3D(x.MustReshape(x.Shape[0], 1, x.Shape[1], x.Shape[2]), 1, kh, kw, 1, sh, sw, 0, ph, pw)
+	if err != nil {
+		return nil, fmt.Errorf("tensor: im2col input %v kernel %dx%d: %w", x.Shape, kh, kw, err)
 	}
 	return cols, nil
-}
-
-// Im2ColBatchInto unrolls a channel-major batch of 2-D planes into
-// dst. x is logically [C,M,H,W] (rank 4; a rank-3 [C,H,W] tensor is
-// accepted for m=1), where consecutive samples of one channel are
-// contiguous — the layout every batched conv in this package produces.
-// dst must be [C*KH*KW, M*OH*OW]; it is zeroed first, so padding
-// positions are correct even when dst is a recycled scratch buffer.
-// Sample m's columns occupy dst columns [m*OH*OW, (m+1)*OH*OW).
-// Row blocks are filled in parallel on the bounded kernel pool.
-func Im2ColBatchInto(dst, x *Tensor, m, kh, kw, sh, sw, ph, pw int) error {
-	var c, h, w int
-	switch {
-	case x.Rank() == 4 && x.Shape[1] == m:
-		c, h, w = x.Shape[0], x.Shape[2], x.Shape[3]
-	case x.Rank() == 3 && m == 1:
-		c, h, w = x.Shape[0], x.Shape[1], x.Shape[2]
-	default:
-		return fmt.Errorf("tensor: im2col batch needs [C,%d,H,W] input, got %v", m, x.Shape)
-	}
-	oh := ConvOutSize(h, kh, sh, ph)
-	ow := ConvOutSize(w, kw, sw, pw)
-	if oh <= 0 || ow <= 0 {
-		return fmt.Errorf("tensor: im2col produces empty output for input %v kernel %dx%d", x.Shape, kh, kw)
-	}
-	rows, rowLen := c*kh*kw, m*oh*ow
-	if dst.Rank() != 2 || dst.Shape[0] != rows || dst.Shape[1] != rowLen {
-		return fmt.Errorf("tensor: im2col dst shape %v, want [%d,%d]", dst.Shape, rows, rowLen)
-	}
-	dst.Zero()
-	// The closure is built only when the job splits: an escaping
-	// closure heap-allocates at creation even for calls that run
-	// inline, and small frames must stay allocation-free.
-	if ParallelChunks(rows, rowLen) <= 1 {
-		im2colBatchRows(dst.Data, x.Data, m, h, w, kh, kw, sh, sw, ph, pw, oh, ow, rowLen, 0, rows)
-	} else {
-		ParallelFor(rows, rowLen, func(lo, hi int) {
-			im2colBatchRows(dst.Data, x.Data, m, h, w, kh, kw, sh, sw, ph, pw, oh, ow, rowLen, lo, hi)
-		})
-	}
-	return nil
-}
-
-// im2colBatchRows fills dst rows [lo, hi) of the batched column
-// matrix — the chunk body of Im2ColBatchInto.
-func im2colBatchRows(dst, x []float64, m, h, w, kh, kw, sh, sw, ph, pw, oh, ow, rowLen, lo, hi int) {
-	for rowIdx := lo; rowIdx < hi; rowIdx++ {
-		ci := rowIdx / (kh * kw)
-		ki := rowIdx / kw % kh
-		kj := rowIdx % kw
-		row := dst[rowIdx*rowLen:]
-		for mi := 0; mi < m; mi++ {
-			plane := x[(ci*m+mi)*h*w:]
-			out := row[mi*oh*ow:]
-			for oy := 0; oy < oh; oy++ {
-				iy := oy*sh - ph + ki
-				if iy < 0 || iy >= h {
-					continue
-				}
-				src := plane[iy*w:]
-				dstRow := out[oy*ow:]
-				for ox := 0; ox < ow; ox++ {
-					ix := ox*sw - pw + kj
-					if ix >= 0 && ix < w {
-						dstRow[ox] = src[ix]
-					}
-				}
-			}
-		}
-	}
 }
 
 // Col2Im scatters a [C*KH*KW, OH*OW] column matrix back into a
 // [C,H,W] tensor, accumulating overlapping contributions. It is the
 // adjoint of Im2Col and is used by convolution backward passes.
 func Col2Im(cols *Tensor, c, h, w, kh, kw, sh, sw, ph, pw int) (*Tensor, error) {
-	oh := ConvOutSize(h, kh, sh, ph)
-	ow := ConvOutSize(w, kw, sw, pw)
-	if cols.Rank() != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != oh*ow {
-		return nil, fmt.Errorf("tensor: col2im shape %v incompatible with [%d,%d,%d] k=%dx%d", cols.Shape, c, h, w, kh, kw)
+	x, err := Col2Im3D(cols, c, 1, h, w, 1, kh, kw, 1, sh, sw, 0, ph, pw)
+	if err != nil {
+		return nil, err
 	}
-	x := New(c, h, w)
-	for ci := 0; ci < c; ci++ {
-		plane := x.Data[ci*h*w : (ci+1)*h*w]
-		for ki := 0; ki < kh; ki++ {
-			for kj := 0; kj < kw; kj++ {
-				row := cols.Data[((ci*kh+ki)*kw+kj)*oh*ow:]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*sh - ph + ki
-					if iy < 0 || iy >= h {
-						continue
-					}
-					dst := plane[iy*w:]
-					src := row[oy*ow:]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*sw - pw + kj
-						if ix >= 0 && ix < w {
-							dst[ix] += src[ox]
-						}
-					}
-				}
-			}
-		}
-	}
-	return x, nil
+	return x.MustReshape(c, h, w), nil
 }
 
 // Im2Col3D unrolls a [C,T,H,W] tensor into a
 // [C*KT*KH*KW, OT*OH*OW] matrix for 3-D (spatio-temporal)
-// convolution, the workhorse of the SlowFast and C3D video networks.
+// convolution; the training-mode forward of the SlowFast and C3D
+// video networks multiplies it by the weights and keeps it for the
+// backward pass. Only in-range positions are written: the matrix
+// comes zeroed from New, so padding positions need no second clear.
+// Row blocks fill in parallel on the bounded kernel pool.
 func Im2Col3D(x *Tensor, kt, kh, kw, st, sh, sw, pt, ph, pw int) (*Tensor, error) {
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("tensor: im2col3d needs [C,T,H,W] input, got %v", x.Shape)
 	}
-	c, tn := x.Shape[0], x.Shape[1]
-	ot := ConvOutSize(tn, kt, st, pt)
-	oh := ConvOutSize(x.Shape[2], kh, sh, ph)
-	ow := ConvOutSize(x.Shape[3], kw, sw, pw)
-	if ot <= 0 || oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("tensor: im2col3d produces empty output for input %v kernel %dx%dx%d", x.Shape, kt, kh, kw)
-	}
-	cols := New(c*kt*kh*kw, ot*oh*ow)
-	if err := Im2Col3DBatchInto(cols, x, 1, kt, kh, kw, st, sh, sw, pt, ph, pw); err != nil {
-		return nil, err
-	}
-	return cols, nil
-}
-
-// Im2Col3DBatchInto unrolls a channel-major batch of volumes into dst.
-// x is logically [C,N,T,H,W] (rank 5; a rank-4 [C,T,H,W] tensor is
-// accepted for n=1). dst must be [C*KT*KH*KW, N*OT*OH*OW]; it is
-// zeroed first. Sample i's columns occupy dst columns
-// [i*OT*OH*OW, (i+1)*OT*OH*OW). Row blocks fill in parallel on the
-// bounded kernel pool.
-func Im2Col3DBatchInto(dst, x *Tensor, n, kt, kh, kw, st, sh, sw, pt, ph, pw int) error {
-	var c, tn, h, w int
-	switch {
-	case x.Rank() == 5 && x.Shape[1] == n:
-		c, tn, h, w = x.Shape[0], x.Shape[2], x.Shape[3], x.Shape[4]
-	case x.Rank() == 4 && n == 1:
-		c, tn, h, w = x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	default:
-		return fmt.Errorf("tensor: im2col3d batch needs [C,%d,T,H,W] input, got %v", n, x.Shape)
-	}
+	c, tn, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	ot := ConvOutSize(tn, kt, st, pt)
 	oh := ConvOutSize(h, kh, sh, ph)
 	ow := ConvOutSize(w, kw, sw, pw)
 	if ot <= 0 || oh <= 0 || ow <= 0 {
-		return fmt.Errorf("tensor: im2col3d produces empty output for input %v kernel %dx%dx%d", x.Shape, kt, kh, kw)
+		return nil, fmt.Errorf("tensor: im2col3d produces empty output for input %v kernel %dx%dx%d", x.Shape, kt, kh, kw)
 	}
-	rows, vol := c*kt*kh*kw, ot*oh*ow
-	rowLen := n * vol
-	if dst.Rank() != 2 || dst.Shape[0] != rows || dst.Shape[1] != rowLen {
-		return fmt.Errorf("tensor: im2col3d dst shape %v, want [%d,%d]", dst.Shape, rows, rowLen)
-	}
-	dst.Zero()
-	// Closure built only on the split path — see Im2ColBatchInto.
-	if ParallelChunks(rows, rowLen) <= 1 {
-		im2col3dBatchRows(dst.Data, x.Data, n, tn, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw, ot, oh, ow, rowLen, 0, rows)
-	} else {
-		ParallelFor(rows, rowLen, func(lo, hi int) {
-			im2col3dBatchRows(dst.Data, x.Data, n, tn, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw, ot, oh, ow, rowLen, lo, hi)
-		})
-	}
-	return nil
+	rows, rowLen := c*kt*kh*kw, ot*oh*ow
+	cols := New(rows, rowLen)
+	ParallelFor(rows, rowLen, func(lo, hi int) {
+		im2col3dRows(cols.Data, x.Data, tn, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw, ot, oh, ow, lo, hi)
+	})
+	return cols, nil
 }
 
-// im2col3dBatchRows fills dst rows [lo, hi) — the chunk body of
-// Im2Col3DBatchInto.
-func im2col3dBatchRows(dstData, xData []float64, n, tn, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw, ot, oh, ow, rowLen, lo, hi int) {
+// im2col3dRows fills column-matrix rows [lo, hi) — the chunk body of
+// Im2Col3D. Padding positions are left as they are (zero).
+func im2col3dRows(dstData, xData []float64, tn, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw, ot, oh, ow, lo, hi int) {
 	spat := h * w
-	vol := ot * oh * ow
+	rowLen := ot * oh * ow
 	for rowIdx := lo; rowIdx < hi; rowIdx++ {
 		ci := rowIdx / (kt * kh * kw)
 		kti := rowIdx / (kh * kw) % kt
 		ki := rowIdx / kw % kh
 		kj := rowIdx % kw
-		row := dstData[rowIdx*rowLen:]
-		for ni := 0; ni < n; ni++ {
-			volSrc := xData[(ci*n+ni)*tn*spat:]
-			out := row[ni*vol:]
-			for otz := 0; otz < ot; otz++ {
-				it := otz*st - pt + kti
-				if it < 0 || it >= tn {
+		volSrc := xData[ci*tn*spat:]
+		out := dstData[rowIdx*rowLen:]
+		for otz := 0; otz < ot; otz++ {
+			it := otz*st - pt + kti
+			if it < 0 || it >= tn {
+				continue
+			}
+			plane := volSrc[it*spat:]
+			for oy := 0; oy < oh; oy++ {
+				iy := oy*sh - ph + ki
+				if iy < 0 || iy >= h {
 					continue
 				}
-				plane := volSrc[it*spat:]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*sh - ph + ki
-					if iy < 0 || iy >= h {
-						continue
-					}
-					src := plane[iy*w:]
-					dstRow := out[(otz*oh+oy)*ow:]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*sw - pw + kj
-						if ix >= 0 && ix < w {
-							dstRow[ox] = src[ix]
-						}
+				src := plane[iy*w:]
+				dstRow := out[(otz*oh+oy)*ow:]
+				for ox := 0; ox < ow; ox++ {
+					ix := ox*sw - pw + kj
+					if ix >= 0 && ix < w {
+						dstRow[ox] = src[ix]
 					}
 				}
 			}

@@ -7,8 +7,10 @@ import (
 
 // The numeric kernels fan work out over a small, bounded pool of
 // resident goroutines rather than spawning per call: inference batches
-// arrive continuously on the serving hot path, and a persistent pool
-// keeps the per-kernel overhead to one closure and one WaitGroup.
+// arrive continuously on the serving hot path. The completion group a
+// split waits on is recycled, so ParallelFor itself allocates nothing;
+// a caller that passes a func value it already holds (rather than a
+// fresh capturing closure) splits without allocating at all.
 //
 // Parallelism never changes results: every chunk computes a disjoint,
 // self-contained slice of the output (whole matmul rows, whole im2col
@@ -44,6 +46,13 @@ type chunkTask struct {
 var (
 	kernelOnce  sync.Once
 	kernelTasks chan chunkTask
+	// taskGroups recycles the WaitGroup a split waits on. A WaitGroup
+	// handed to pool workers escapes to the heap, so a fresh one per
+	// call would cost an allocation per split; a channel free list,
+	// unlike a sync.Pool, is not emptied by the garbage collector. One
+	// group is out per goroutine inside a split; 64 spare ones cover
+	// every serving worker a host runs, and any beyond are dropped.
+	taskGroups = make(chan *sync.WaitGroup, 64)
 )
 
 // startKernelPool lazily starts the resident workers. The submitting
@@ -61,14 +70,10 @@ func startKernelPool() {
 	}
 }
 
-// ParallelChunks reports how many chunks ParallelFor would split
-// [0, n) into for the given per-item work: 0 for an empty range, 1
-// when the job runs inline, kernelProcs at most. Kernels on the
-// allocation-free eval path consult it before building the closure a
-// ParallelFor handoff needs — a closure that reaches the task channel
-// escapes to the heap even on calls that end up running inline, so
-// the sequential body is invoked directly when no split will happen.
-func ParallelChunks(n, workPerItem int) int {
+// parallelChunks reports how many chunks ParallelFor splits [0, n)
+// into for the given per-item work: 0 for an empty range, 1 when the
+// job runs inline, kernelProcs at most.
+func parallelChunks(n, workPerItem int) int {
 	if n <= 0 {
 		return 0
 	}
@@ -96,8 +101,12 @@ func ParallelChunks(n, workPerItem int) int {
 // serving workers inside kernels at once) chunks degrade to inline
 // execution instead of queueing, so ParallelFor never deadlocks and
 // never blocks behind another caller's work.
+//
+// ParallelFor allocates nothing itself, but fn escapes to the heap: a
+// caller on an allocation-free path passes a func value it already
+// holds (see nn.Workspace) rather than a fresh capturing closure.
 func ParallelFor(n, workPerItem int, fn func(lo, hi int)) {
-	chunks := ParallelChunks(n, workPerItem)
+	chunks := parallelChunks(n, workPerItem)
 	if chunks == 0 {
 		return
 	}
@@ -106,8 +115,13 @@ func ParallelFor(n, workPerItem int, fn func(lo, hi int)) {
 		return
 	}
 	kernelOnce.Do(startKernelPool)
+	var wg *sync.WaitGroup
+	select {
+	case wg = <-taskGroups:
+	default:
+		wg = new(sync.WaitGroup)
+	}
 	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
 	for lo := size; lo < n; lo += size {
 		hi := lo + size
 		if hi > n {
@@ -115,7 +129,7 @@ func ParallelFor(n, workPerItem int, fn func(lo, hi int)) {
 		}
 		wg.Add(1)
 		select {
-		case kernelTasks <- chunkTask{fn: fn, lo: lo, hi: hi, wg: &wg}:
+		case kernelTasks <- chunkTask{fn: fn, lo: lo, hi: hi, wg: wg}:
 		default:
 			fn(lo, hi)
 			wg.Done()
@@ -123,4 +137,8 @@ func ParallelFor(n, workPerItem int, fn func(lo, hi int)) {
 	}
 	fn(0, size)
 	wg.Wait()
+	select {
+	case taskGroups <- wg:
+	default:
+	}
 }

@@ -234,9 +234,16 @@ func TestClampAndFinite(t *testing.T) {
 	if !x.AllFinite() {
 		t.Fatal("finite tensor reported non-finite")
 	}
-	x.Data[1] = math.NaN()
-	if x.AllFinite() {
-		t.Fatal("NaN not detected")
+	x.Data[1] = math.MaxFloat64
+	x.Data[2] = -math.SmallestNonzeroFloat64
+	if !x.AllFinite() {
+		t.Fatal("extreme finite values reported non-finite")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x.Data[1] = bad
+		if x.AllFinite() {
+			t.Fatalf("%v not detected", bad)
+		}
 	}
 }
 
